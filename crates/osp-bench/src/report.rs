@@ -125,6 +125,28 @@ mod tests {
     }
 
     #[test]
+    fn pretty_json_matches_the_golden_fixture() {
+        // Written by the `Value`-tree codec this workspace used before the
+        // streaming codec; the experiments binary's JSON must not drift.
+        let mut r = Report::new("thm1", "Theorem 1 upper bound", "ratio \"≤ k·σ\"\nper row");
+        let mut t = NamedTable::new("ratios", &["k", "σ", "ratio"]);
+        t.row(vec!["2".into(), "3".into(), "0.5".into()]);
+        t.row(vec!["4".into(), "8".into(), "\t—".into()]);
+        r.table(t);
+        r.table(NamedTable::new("empty", &[]));
+        r.note("holds");
+        r.note("");
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/format/report.pretty.json"
+        );
+        let pretty = serde_json::to_string_pretty(&r).unwrap();
+        let want = std::fs::read_to_string(path).unwrap();
+        assert_eq!(pretty, want);
+        assert_eq!(serde_json::from_str::<Report>(&want).unwrap(), r);
+    }
+
+    #[test]
     #[should_panic(expected = "width")]
     fn row_width_checked() {
         NamedTable::new("t", &["a", "b"]).row(vec!["1".into()]);

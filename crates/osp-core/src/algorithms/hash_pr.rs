@@ -371,12 +371,14 @@ mod tests {
     fn begin_evaluates_the_polynomial_exactly_once_per_set() {
         // Regression: `begin` used to call both `unit(i)` and `eval(i)`,
         // evaluating the polynomial twice per set. The raw hash is now
-        // computed once and the unit value derived from it.
+        // computed once and the unit value derived from it. The counter is
+        // thread-local, so the table is built on this thread (one shard);
+        // shard-count equivalence is pinned separately.
         use osp_gf::hash::eval_count;
         let sets = mixed_weight_sets(157);
         let mut alg = HashRandPr::new(8, 5);
         eval_count::reset();
-        alg.begin(&sets);
+        alg.begin_with_threads(&sets, 1);
         assert_eq!(eval_count::get(), sets.len() as u64);
     }
 

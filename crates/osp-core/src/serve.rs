@@ -1441,6 +1441,34 @@ mod tests {
         )
     }
 
+    #[test]
+    fn manifest_format_matches_the_golden_fixture() {
+        // Written by the `Value`-tree codec this crate used before the
+        // streaming codec: a manifest left by that build must still resume.
+        let jobs = jobs(3);
+        let manifest = BatchManifest {
+            completed: vec![0, 2],
+            ..BatchManifest::new(7, &jobs)
+        };
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/format/batch-7.json"
+        );
+        let json = serde_json::to_string(&manifest).unwrap();
+        let want = std::fs::read_to_string(path).unwrap();
+        assert_eq!(json, want);
+        assert_eq!(
+            serde_json::from_str::<BatchManifest>(&want).unwrap(),
+            manifest
+        );
+        let dir = std::env::temp_dir().join(format!("osp-golden-manifest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(manifest_path(&dir, 7), &want).unwrap();
+        assert_eq!(load_manifests(&dir), vec![manifest]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     fn service() -> ReplayService {
         ReplayService::new(
             Box::new(SpecPool::new(ReplayPool::new(2), CoreResolver)),
