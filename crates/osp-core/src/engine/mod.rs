@@ -233,19 +233,27 @@ impl DecisionLog {
 }
 
 impl serde::Serialize for DecisionLog {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("offsets".to_string(), self.offsets.to_value()),
-            ("data".to_string(), self.data.to_value()),
-        ])
+    fn serialize(&self, ser: &mut serde::Serializer<'_>) {
+        let mut map = ser.map();
+        map.field("offsets", &self.offsets);
+        map.field("data", &self.data);
+        map.end();
     }
 }
 
 impl serde::Deserialize for DecisionLog {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let offsets = Vec::<u32>::from_value(serde::get_field(value, "offsets")?)?;
-        let data = Vec::<SetId>::from_value(serde::get_field(value, "data")?)?;
-        DecisionLog::from_parts(offsets, data).map_err(|e| serde::Error::msg(e.to_string()))
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        let (mut offsets, mut data) = (None, None);
+        de.map(|key, de| match key {
+            "offsets" => de.fill(&mut offsets),
+            "data" => de.fill(&mut data),
+            _ => de.skip_value(),
+        })?;
+        DecisionLog::from_parts(
+            serde::required(offsets, "offsets")?,
+            serde::required(data, "data")?,
+        )
+        .map_err(|e| serde::Error::msg(e.to_string()))
     }
 }
 
@@ -359,24 +367,33 @@ impl Outcome {
 }
 
 impl serde::Serialize for Outcome {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("completed".to_string(), self.completed.to_value()),
-            ("benefit".to_string(), self.benefit.to_value()),
-            ("decisions".to_string(), self.decisions.to_value()),
-            ("died_at".to_string(), self.died_at.to_value()),
-        ])
+    fn serialize(&self, ser: &mut serde::Serializer<'_>) {
+        let mut map = ser.map();
+        map.field("completed", &self.completed);
+        map.field("benefit", &self.benefit);
+        map.field("decisions", &self.decisions);
+        map.field("died_at", &self.died_at);
+        map.end();
     }
 }
 
 impl serde::Deserialize for Outcome {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let completed = Vec::<SetId>::from_value(serde::get_field(value, "completed")?)?;
-        let benefit = f64::from_value(serde::get_field(value, "benefit")?)?;
-        let decisions = DecisionLog::from_value(serde::get_field(value, "decisions")?)?;
-        let died_at = Vec::<Option<ElementId>>::from_value(serde::get_field(value, "died_at")?)?;
-        Outcome::from_parts(completed, benefit, decisions, died_at)
-            .map_err(|e| serde::Error::msg(e.to_string()))
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        let (mut completed, mut benefit, mut decisions, mut died_at) = (None, None, None, None);
+        de.map(|key, de| match key {
+            "completed" => de.fill(&mut completed),
+            "benefit" => de.fill(&mut benefit),
+            "decisions" => de.fill(&mut decisions),
+            "died_at" => de.fill(&mut died_at),
+            _ => de.skip_value(),
+        })?;
+        Outcome::from_parts(
+            serde::required(completed, "completed")?,
+            serde::required(benefit, "benefit")?,
+            serde::required(decisions, "decisions")?,
+            serde::required(died_at, "died_at")?,
+        )
+        .map_err(|e| serde::Error::msg(e.to_string()))
     }
 }
 

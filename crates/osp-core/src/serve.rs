@@ -207,31 +207,22 @@ pub enum JobResult {
 }
 
 impl Serialize for JobResult {
-    fn to_value(&self) -> serde::Value {
+    fn serialize(&self, ser: &mut serde::Serializer<'_>) {
         match self {
-            JobResult::Pending => {
-                serde::Value::Map(vec![("pending".to_string(), serde::Value::Bool(true))])
-            }
-            JobResult::Ok(outcome) => {
-                serde::Value::Map(vec![("ok".to_string(), outcome.to_value())])
-            }
-            JobResult::Err(err) => {
-                serde::Value::Map(vec![("err".to_string(), serde::Value::Str(err.clone()))])
-            }
+            JobResult::Pending => ser.entry("pending", &true),
+            JobResult::Ok(outcome) => ser.entry("ok", outcome),
+            JobResult::Err(err) => ser.entry("err", err),
         }
     }
 }
 
 impl Deserialize for JobResult {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        if let Ok(ok) = serde::get_field(value, "ok") {
-            return Ok(JobResult::Ok(Outcome::from_value(ok)?));
-        }
-        if let Ok(err) = serde::get_field(value, "err") {
-            return Ok(JobResult::Err(String::from_value(err)?));
-        }
-        bool::from_value(serde::get_field(value, "pending")?)?;
-        Ok(JobResult::Pending)
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        de.keyed(&["ok", "err", "pending"], |key, de| match key {
+            0 => Outcome::deserialize(de).map(JobResult::Ok),
+            1 => de.string().map(JobResult::Err),
+            _ => de.bool().map(|_| JobResult::Pending),
+        })
     }
 }
 
@@ -964,67 +955,51 @@ pub enum FleetCommand {
 }
 
 impl Serialize for FleetCommand {
-    fn to_value(&self) -> serde::Value {
-        let (key, value) = match self {
-            FleetCommand::Status => ("status", serde::Value::Bool(true)),
-            FleetCommand::Add(addr) => ("add", serde::Value::Str(addr.clone())),
-            FleetCommand::Remove(addr) => ("remove", serde::Value::Str(addr.clone())),
-            FleetCommand::Probe => ("probe", serde::Value::Bool(true)),
-        };
-        serde::Value::Map(vec![(key.to_string(), value)])
+    fn serialize(&self, ser: &mut serde::Serializer<'_>) {
+        match self {
+            FleetCommand::Status => ser.entry("status", &true),
+            FleetCommand::Add(addr) => ser.entry("add", addr),
+            FleetCommand::Remove(addr) => ser.entry("remove", addr),
+            FleetCommand::Probe => ser.entry("probe", &true),
+        }
     }
 }
 
 impl Deserialize for FleetCommand {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        if let Ok(addr) = serde::get_field(value, "add") {
-            return Ok(FleetCommand::Add(String::from_value(addr)?));
-        }
-        if let Ok(addr) = serde::get_field(value, "remove") {
-            return Ok(FleetCommand::Remove(String::from_value(addr)?));
-        }
-        if let Ok(probe) = serde::get_field(value, "probe") {
-            bool::from_value(probe)?;
-            return Ok(FleetCommand::Probe);
-        }
-        bool::from_value(serde::get_field(value, "status")?)?;
-        Ok(FleetCommand::Status)
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        de.keyed(&["add", "remove", "probe", "status"], |key, de| match key {
+            0 => de.string().map(FleetCommand::Add),
+            1 => de.string().map(FleetCommand::Remove),
+            2 => de.bool().map(|_| FleetCommand::Probe),
+            _ => de.bool().map(|_| FleetCommand::Status),
+        })
     }
 }
 
 impl Serialize for ServeRequest {
-    fn to_value(&self) -> serde::Value {
-        let (key, value) = match self {
-            ServeRequest::Submit(jobs) => ("submit", jobs.to_value()),
-            ServeRequest::Status(id) => ("status", serde::Value::U64(*id)),
-            ServeRequest::Fetch(id) => ("fetch", serde::Value::U64(*id)),
-            ServeRequest::Cancel(id) => ("cancel", serde::Value::U64(*id)),
-            ServeRequest::Fleet(command) => ("fleet", command.to_value()),
-            ServeRequest::Shutdown => ("shutdown", serde::Value::Bool(true)),
-        };
-        serde::Value::Map(vec![(key.to_string(), value)])
+    fn serialize(&self, ser: &mut serde::Serializer<'_>) {
+        match self {
+            ServeRequest::Submit(jobs) => ser.entry("submit", jobs),
+            ServeRequest::Status(id) => ser.entry("status", id),
+            ServeRequest::Fetch(id) => ser.entry("fetch", id),
+            ServeRequest::Cancel(id) => ser.entry("cancel", id),
+            ServeRequest::Fleet(command) => ser.entry("fleet", command),
+            ServeRequest::Shutdown => ser.entry("shutdown", &true),
+        }
     }
 }
 
 impl Deserialize for ServeRequest {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        if let Ok(jobs) = serde::get_field(value, "submit") {
-            return Ok(ServeRequest::Submit(Vec::<JobSpec>::from_value(jobs)?));
-        }
-        if let Ok(id) = serde::get_field(value, "status") {
-            return Ok(ServeRequest::Status(u64::from_value(id)?));
-        }
-        if let Ok(id) = serde::get_field(value, "fetch") {
-            return Ok(ServeRequest::Fetch(u64::from_value(id)?));
-        }
-        if let Ok(id) = serde::get_field(value, "cancel") {
-            return Ok(ServeRequest::Cancel(u64::from_value(id)?));
-        }
-        if let Ok(command) = serde::get_field(value, "fleet") {
-            return Ok(ServeRequest::Fleet(FleetCommand::from_value(command)?));
-        }
-        bool::from_value(serde::get_field(value, "shutdown")?)?;
-        Ok(ServeRequest::Shutdown)
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        let keys = ["submit", "status", "fetch", "cancel", "fleet", "shutdown"];
+        de.keyed(&keys, |key, de| match key {
+            0 => Vec::<JobSpec>::deserialize(de).map(ServeRequest::Submit),
+            1 => de.u64().map(ServeRequest::Status),
+            2 => de.u64().map(ServeRequest::Fetch),
+            3 => de.u64().map(ServeRequest::Cancel),
+            4 => FleetCommand::deserialize(de).map(ServeRequest::Fleet),
+            _ => de.bool().map(|_| ServeRequest::Shutdown),
+        })
     }
 }
 
@@ -1050,46 +1025,42 @@ pub enum ServeReply {
 }
 
 impl Serialize for ServeReply {
-    fn to_value(&self) -> serde::Value {
-        let (key, value) = match self {
-            ServeReply::Batch(id) => ("batch", serde::Value::U64(*id)),
-            ServeReply::Report(status) => ("report", status.to_value()),
-            ServeReply::Results(results) => ("results", results.to_value()),
-            ServeReply::Cancelled(took) => ("cancelled", serde::Value::Bool(*took)),
-            ServeReply::Fleet(report) => ("fleet", report.to_value()),
-            ServeReply::Bye => ("bye", serde::Value::Bool(true)),
-            ServeReply::Busy(why) => ("busy", serde::Value::Str(why.clone())),
-            ServeReply::Error(why) => ("error", serde::Value::Str(why.clone())),
-        };
-        serde::Value::Map(vec![(key.to_string(), value)])
+    fn serialize(&self, ser: &mut serde::Serializer<'_>) {
+        match self {
+            ServeReply::Batch(id) => ser.entry("batch", id),
+            ServeReply::Report(status) => ser.entry("report", status),
+            ServeReply::Results(results) => ser.entry("results", results),
+            ServeReply::Cancelled(took) => ser.entry("cancelled", took),
+            ServeReply::Fleet(report) => ser.entry("fleet", report),
+            ServeReply::Bye => ser.entry("bye", &true),
+            ServeReply::Busy(why) => ser.entry("busy", why),
+            ServeReply::Error(why) => ser.entry("error", why),
+        }
     }
 }
 
 impl Deserialize for ServeReply {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        if let Ok(id) = serde::get_field(value, "batch") {
-            return Ok(ServeReply::Batch(u64::from_value(id)?));
-        }
-        if let Ok(status) = serde::get_field(value, "report") {
-            return Ok(ServeReply::Report(BatchStatus::from_value(status)?));
-        }
-        if let Ok(results) = serde::get_field(value, "results") {
-            return Ok(ServeReply::Results(Vec::<JobResult>::from_value(results)?));
-        }
-        if let Ok(took) = serde::get_field(value, "cancelled") {
-            return Ok(ServeReply::Cancelled(bool::from_value(took)?));
-        }
-        if let Ok(report) = serde::get_field(value, "fleet") {
-            return Ok(ServeReply::Fleet(FleetReport::from_value(report)?));
-        }
-        if let Ok(why) = serde::get_field(value, "busy") {
-            return Ok(ServeReply::Busy(String::from_value(why)?));
-        }
-        if let Ok(why) = serde::get_field(value, "error") {
-            return Ok(ServeReply::Error(String::from_value(why)?));
-        }
-        bool::from_value(serde::get_field(value, "bye")?)?;
-        Ok(ServeReply::Bye)
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        let keys = [
+            "batch",
+            "report",
+            "results",
+            "cancelled",
+            "fleet",
+            "busy",
+            "error",
+            "bye",
+        ];
+        de.keyed(&keys, |key, de| match key {
+            0 => de.u64().map(ServeReply::Batch),
+            1 => BatchStatus::deserialize(de).map(ServeReply::Report),
+            2 => Vec::<JobResult>::deserialize(de).map(ServeReply::Results),
+            3 => de.bool().map(ServeReply::Cancelled),
+            4 => FleetReport::deserialize(de).map(ServeReply::Fleet),
+            5 => de.string().map(ServeReply::Busy),
+            6 => de.string().map(ServeReply::Error),
+            _ => de.bool().map(|_| ServeReply::Bye),
+        })
     }
 }
 

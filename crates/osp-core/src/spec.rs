@@ -32,7 +32,7 @@
 //! [`JobSpec`] cross a pipe today and a socket tomorrow
 //! ([`wire`](crate::wire)).
 
-use serde::{get_field, Deserialize, Error as SerdeError, Value};
+use serde::{Deserialize, Deserializer, Error as SerdeError, Object, Serialize, Serializer};
 
 use crate::algorithms::{GreedyOnline, HashRandPr, OracleOnline, RandPr, RandomAssign, TieBreak};
 use crate::engine::batch::ReplayScratch;
@@ -351,20 +351,28 @@ pub fn run_spec_with_scratch<R: SpecResolver + ?Sized>(
 
 // ---------------------------------------------------------------------------
 // Serde: enums as tagged maps (the vendored derive handles structs only).
+// The tag is written first, but a reader accepts it anywhere in the map.
 // ---------------------------------------------------------------------------
 
-fn tagged(tag_key: &str, tag: &str, fields: Vec<(&str, Value)>) -> Value {
-    let mut map = vec![(tag_key.to_string(), Value::Str(tag.to_string()))];
-    map.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-    Value::Map(map)
+/// Writes `{tag_key: tag, field: value, …}`.
+fn tagged(ser: &mut Serializer<'_>, tag_key: &str, tag: &str, fields: &[(&str, &dyn Serialize)]) {
+    let mut map = ser.map();
+    map.field(tag_key, tag);
+    for (key, value) in fields {
+        map.field(key, *value);
+    }
+    map.end();
 }
 
-fn read_tag(value: &Value, tag_key: &str) -> Result<String, SerdeError> {
-    String::from_value(get_field(value, tag_key)?)
-}
-
-fn field<T: serde::Deserialize>(value: &Value, name: &str) -> Result<T, SerdeError> {
-    T::from_value(get_field(value, name)?)
+/// Reads a tagged map: the tag, and the map to read the variant's fields
+/// from.
+fn read_tagged<'de>(
+    de: &mut Deserializer<'de>,
+    tag_key: &str,
+) -> Result<(String, Object<'de>), SerdeError> {
+    let object = de.object()?;
+    let tag = object.field::<String>(tag_key)?;
+    Ok((tag, object))
 }
 
 fn tie_break_tag(t: TieBreak) -> &'static str {
@@ -377,15 +385,15 @@ fn tie_break_tag(t: TieBreak) -> &'static str {
     }
 }
 
-impl serde::Serialize for TieBreak {
-    fn to_value(&self) -> Value {
-        Value::Str(tie_break_tag(*self).to_string())
+impl Serialize for TieBreak {
+    fn serialize(&self, ser: &mut Serializer<'_>) {
+        ser.str(tie_break_tag(*self));
     }
 }
 
-impl serde::Deserialize for TieBreak {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        match String::from_value(value)?.as_str() {
+impl Deserialize for TieBreak {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, SerdeError> {
+        match &*de.str()? {
             "weight" => Ok(TieBreak::ByWeight),
             "fewest-remaining" => Ok(TieBreak::ByFewestRemaining),
             "most-progress" => Ok(TieBreak::ByMostProgress),
@@ -396,129 +404,122 @@ impl serde::Deserialize for TieBreak {
     }
 }
 
-impl serde::Serialize for LoadModel {
-    fn to_value(&self) -> Value {
-        match *self {
-            LoadModel::Fixed(k) => tagged("model", "fixed", vec![("value", k.to_value())]),
-            LoadModel::Uniform { lo, hi } => tagged(
-                "model",
-                "uniform",
-                vec![("lo", lo.to_value()), ("hi", hi.to_value())],
-            ),
+impl Serialize for LoadModel {
+    fn serialize(&self, ser: &mut Serializer<'_>) {
+        match self {
+            LoadModel::Fixed(k) => tagged(ser, "model", "fixed", &[("value", k)]),
+            LoadModel::Uniform { lo, hi } => {
+                tagged(ser, "model", "uniform", &[("lo", lo), ("hi", hi)])
+            }
         }
     }
 }
 
-impl serde::Deserialize for LoadModel {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        match read_tag(value, "model")?.as_str() {
-            "fixed" => Ok(LoadModel::Fixed(field(value, "value")?)),
+impl Deserialize for LoadModel {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, SerdeError> {
+        let (tag, map) = read_tagged(de, "model")?;
+        match tag.as_str() {
+            "fixed" => Ok(LoadModel::Fixed(map.field("value")?)),
             "uniform" => Ok(LoadModel::Uniform {
-                lo: field(value, "lo")?,
-                hi: field(value, "hi")?,
+                lo: map.field("lo")?,
+                hi: map.field("hi")?,
             }),
             other => Err(SerdeError::msg(format!("unknown load model `{other}`"))),
         }
     }
 }
 
-impl serde::Serialize for WeightModel {
-    fn to_value(&self) -> Value {
-        match *self {
-            WeightModel::Unit => tagged("model", "unit", vec![]),
-            WeightModel::Uniform { lo, hi } => tagged(
-                "model",
-                "uniform",
-                vec![("lo", lo.to_value()), ("hi", hi.to_value())],
-            ),
+impl Serialize for WeightModel {
+    fn serialize(&self, ser: &mut Serializer<'_>) {
+        match self {
+            WeightModel::Unit => tagged(ser, "model", "unit", &[]),
+            WeightModel::Uniform { lo, hi } => {
+                tagged(ser, "model", "uniform", &[("lo", lo), ("hi", hi)])
+            }
             WeightModel::Zipf { exponent } => {
-                tagged("model", "zipf", vec![("exponent", exponent.to_value())])
+                tagged(ser, "model", "zipf", &[("exponent", exponent)])
             }
         }
     }
 }
 
-impl serde::Deserialize for WeightModel {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        match read_tag(value, "model")?.as_str() {
+impl Deserialize for WeightModel {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, SerdeError> {
+        let (tag, map) = read_tagged(de, "model")?;
+        match tag.as_str() {
             "unit" => Ok(WeightModel::Unit),
             "uniform" => Ok(WeightModel::Uniform {
-                lo: field(value, "lo")?,
-                hi: field(value, "hi")?,
+                lo: map.field("lo")?,
+                hi: map.field("hi")?,
             }),
             "zipf" => Ok(WeightModel::Zipf {
-                exponent: field(value, "exponent")?,
+                exponent: map.field("exponent")?,
             }),
             other => Err(SerdeError::msg(format!("unknown weight model `{other}`"))),
         }
     }
 }
 
-impl serde::Serialize for CapacityModel {
-    fn to_value(&self) -> Value {
-        match *self {
-            CapacityModel::Unit => tagged("model", "unit", vec![]),
-            CapacityModel::Fixed(b) => tagged("model", "fixed", vec![("value", b.to_value())]),
-            CapacityModel::Uniform { lo, hi } => tagged(
-                "model",
-                "uniform",
-                vec![("lo", lo.to_value()), ("hi", hi.to_value())],
-            ),
+impl Serialize for CapacityModel {
+    fn serialize(&self, ser: &mut Serializer<'_>) {
+        match self {
+            CapacityModel::Unit => tagged(ser, "model", "unit", &[]),
+            CapacityModel::Fixed(b) => tagged(ser, "model", "fixed", &[("value", b)]),
+            CapacityModel::Uniform { lo, hi } => {
+                tagged(ser, "model", "uniform", &[("lo", lo), ("hi", hi)])
+            }
         }
     }
 }
 
-impl serde::Deserialize for CapacityModel {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        match read_tag(value, "model")?.as_str() {
+impl Deserialize for CapacityModel {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, SerdeError> {
+        let (tag, map) = read_tagged(de, "model")?;
+        match tag.as_str() {
             "unit" => Ok(CapacityModel::Unit),
-            "fixed" => Ok(CapacityModel::Fixed(field(value, "value")?)),
+            "fixed" => Ok(CapacityModel::Fixed(map.field("value")?)),
             "uniform" => Ok(CapacityModel::Uniform {
-                lo: field(value, "lo")?,
-                hi: field(value, "hi")?,
+                lo: map.field("lo")?,
+                hi: map.field("hi")?,
             }),
             other => Err(SerdeError::msg(format!("unknown capacity model `{other}`"))),
         }
     }
 }
 
-impl serde::Serialize for AlgorithmSpec {
-    fn to_value(&self) -> Value {
+impl Serialize for AlgorithmSpec {
+    fn serialize(&self, ser: &mut Serializer<'_>) {
+        let key = "algorithm";
         match self {
-            AlgorithmSpec::RandPr => tagged("algorithm", "rand_pr", vec![]),
-            AlgorithmSpec::HashRandPr { independence } => tagged(
-                "algorithm",
-                "hash_pr",
-                vec![("independence", independence.to_value())],
-            ),
-            AlgorithmSpec::Greedy { tie_break } => tagged(
-                "algorithm",
-                "greedy",
-                vec![("tie_break", tie_break.to_value())],
-            ),
-            AlgorithmSpec::RandomAssign => tagged("algorithm", "random_assign", vec![]),
-            AlgorithmSpec::Oracle { target } => {
-                tagged("algorithm", "oracle", vec![("target", target.to_value())])
+            AlgorithmSpec::RandPr => tagged(ser, key, "rand_pr", &[]),
+            AlgorithmSpec::HashRandPr { independence } => {
+                tagged(ser, key, "hash_pr", &[("independence", independence)])
             }
-            AlgorithmSpec::TailDrop => tagged("algorithm", "tail_drop", vec![]),
-            AlgorithmSpec::RandomDrop => tagged("algorithm", "random_drop", vec![]),
+            AlgorithmSpec::Greedy { tie_break } => {
+                tagged(ser, key, "greedy", &[("tie_break", tie_break)])
+            }
+            AlgorithmSpec::RandomAssign => tagged(ser, key, "random_assign", &[]),
+            AlgorithmSpec::Oracle { target } => tagged(ser, key, "oracle", &[("target", target)]),
+            AlgorithmSpec::TailDrop => tagged(ser, key, "tail_drop", &[]),
+            AlgorithmSpec::RandomDrop => tagged(ser, key, "random_drop", &[]),
         }
     }
 }
 
-impl serde::Deserialize for AlgorithmSpec {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        match read_tag(value, "algorithm")?.as_str() {
+impl Deserialize for AlgorithmSpec {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, SerdeError> {
+        let (tag, map) = read_tagged(de, "algorithm")?;
+        match tag.as_str() {
             "rand_pr" => Ok(AlgorithmSpec::RandPr),
             "hash_pr" => Ok(AlgorithmSpec::HashRandPr {
-                independence: field(value, "independence")?,
+                independence: map.field("independence")?,
             }),
             "greedy" => Ok(AlgorithmSpec::Greedy {
-                tie_break: field(value, "tie_break")?,
+                tie_break: map.field("tie_break")?,
             }),
             "random_assign" => Ok(AlgorithmSpec::RandomAssign),
             "oracle" => Ok(AlgorithmSpec::Oracle {
-                target: field(value, "target")?,
+                target: map.field("target")?,
             }),
             "tail_drop" => Ok(AlgorithmSpec::TailDrop),
             "random_drop" => Ok(AlgorithmSpec::RandomDrop),
@@ -527,23 +528,23 @@ impl serde::Deserialize for AlgorithmSpec {
     }
 }
 
-impl serde::Serialize for ScenarioSpec {
-    fn to_value(&self) -> Value {
+impl Serialize for ScenarioSpec {
+    fn serialize(&self, ser: &mut Serializer<'_>) {
+        let key = "scenario";
         match self {
-            ScenarioSpec::Uniform(cfg) => {
-                tagged("scenario", "uniform", vec![("config", cfg.to_value())])
-            }
+            ScenarioSpec::Uniform(cfg) => tagged(ser, key, "uniform", &[("config", cfg)]),
             ScenarioSpec::Biregular {
                 num_sets,
                 set_size,
                 load,
             } => tagged(
-                "scenario",
+                ser,
+                key,
                 "biregular",
-                vec![
-                    ("num_sets", num_sets.to_value()),
-                    ("set_size", set_size.to_value()),
-                    ("load", load.to_value()),
+                &[
+                    ("num_sets", num_sets),
+                    ("set_size", set_size),
+                    ("load", load),
                 ],
             ),
             ScenarioSpec::FixedSize {
@@ -552,13 +553,14 @@ impl serde::Serialize for ScenarioSpec {
                 num_elements,
                 skew,
             } => tagged(
-                "scenario",
+                ser,
+                key,
                 "fixed_size",
-                vec![
-                    ("num_sets", num_sets.to_value()),
-                    ("set_size", set_size.to_value()),
-                    ("num_elements", num_elements.to_value()),
-                    ("skew", skew.to_value()),
+                &[
+                    ("num_sets", num_sets),
+                    ("set_size", set_size),
+                    ("num_elements", num_elements),
+                    ("skew", skew),
                 ],
             ),
             ScenarioSpec::VideoTrace {
@@ -568,41 +570,43 @@ impl serde::Serialize for ScenarioSpec {
                 capacity,
                 jitter,
             } => tagged(
-                "scenario",
+                ser,
+                key,
                 "video_trace",
-                vec![
-                    ("sources", sources.to_value()),
-                    ("frames_per_source", frames_per_source.to_value()),
-                    ("frame_interval", frame_interval.to_value()),
-                    ("capacity", capacity.to_value()),
-                    ("jitter", jitter.to_value()),
+                &[
+                    ("sources", sources),
+                    ("frames_per_source", frames_per_source),
+                    ("frame_interval", frame_interval),
+                    ("capacity", capacity),
+                    ("jitter", jitter),
                 ],
             ),
         }
     }
 }
 
-impl serde::Deserialize for ScenarioSpec {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        match read_tag(value, "scenario")?.as_str() {
-            "uniform" => Ok(ScenarioSpec::Uniform(field(value, "config")?)),
+impl Deserialize for ScenarioSpec {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, SerdeError> {
+        let (tag, map) = read_tagged(de, "scenario")?;
+        match tag.as_str() {
+            "uniform" => Ok(ScenarioSpec::Uniform(map.field("config")?)),
             "biregular" => Ok(ScenarioSpec::Biregular {
-                num_sets: field(value, "num_sets")?,
-                set_size: field(value, "set_size")?,
-                load: field(value, "load")?,
+                num_sets: map.field("num_sets")?,
+                set_size: map.field("set_size")?,
+                load: map.field("load")?,
             }),
             "fixed_size" => Ok(ScenarioSpec::FixedSize {
-                num_sets: field(value, "num_sets")?,
-                set_size: field(value, "set_size")?,
-                num_elements: field(value, "num_elements")?,
-                skew: field(value, "skew")?,
+                num_sets: map.field("num_sets")?,
+                set_size: map.field("set_size")?,
+                num_elements: map.field("num_elements")?,
+                skew: map.field("skew")?,
             }),
             "video_trace" => Ok(ScenarioSpec::VideoTrace {
-                sources: field(value, "sources")?,
-                frames_per_source: field(value, "frames_per_source")?,
-                frame_interval: field(value, "frame_interval")?,
-                capacity: field(value, "capacity")?,
-                jitter: field(value, "jitter")?,
+                sources: map.field("sources")?,
+                frames_per_source: map.field("frames_per_source")?,
+                frame_interval: map.field("frame_interval")?,
+                capacity: map.field("capacity")?,
+                jitter: map.field("jitter")?,
             }),
             other => Err(SerdeError::msg(format!("unknown scenario spec `{other}`"))),
         }

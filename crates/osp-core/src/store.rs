@@ -46,12 +46,13 @@
 //! [`job_digest`]: crate::serve::job_digest
 //! [`MAX_FRAME_LEN`]: crate::wire::MAX_FRAME_LEN
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Serializer};
 
 use crate::engine::Outcome;
 use crate::error::Error;
@@ -173,6 +174,9 @@ pub struct MemStore {
     bytes: u64,
     evictions: u64,
     tick: u64,
+    /// Encoding buffer reused across puts, only to measure an outcome's
+    /// canonical JSON length.
+    scratch: Vec<u8>,
 }
 
 impl MemStore {
@@ -185,6 +189,7 @@ impl MemStore {
             bytes: 0,
             evictions: 0,
             tick: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -233,6 +238,35 @@ impl MemStore {
             .map(|(digest, entry)| (*digest, &entry.outcome))
             .collect()
     }
+
+    /// [`ResultStore::put`] without the clone, for an outcome the caller
+    /// hands over.
+    fn put_owned(&mut self, digest: (u64, u64), outcome: Outcome) {
+        self.scratch.clear();
+        outcome.serialize(&mut Serializer::compact(&mut self.scratch));
+        let json_len = self.scratch.len();
+        self.insert(digest, outcome, json_len);
+    }
+
+    /// Inserts (or overwrites) an entry whose canonical JSON is
+    /// `json_len` bytes long, then enforces the caps.
+    fn insert(&mut self, digest: (u64, u64), outcome: Outcome, json_len: usize) {
+        let bytes = json_len as u64 + 16;
+        if let Some(old) = self.entries.get(&digest) {
+            self.bytes -= old.bytes;
+        }
+        self.bytes += bytes;
+        self.entries.insert(
+            digest,
+            Entry {
+                outcome,
+                bytes,
+                tick: 0,
+            },
+        );
+        self.touch(digest);
+        self.enforce_caps();
+    }
 }
 
 impl ResultStore for MemStore {
@@ -245,24 +279,7 @@ impl ResultStore for MemStore {
     }
 
     fn put(&mut self, digest: (u64, u64), outcome: &Outcome) {
-        let Ok(json) = serde_json::to_string(outcome) else {
-            return;
-        };
-        let bytes = json.len() as u64 + 16;
-        if let Some(old) = self.entries.get(&digest) {
-            self.bytes -= old.bytes;
-        }
-        self.bytes += bytes;
-        self.entries.insert(
-            digest,
-            Entry {
-                outcome: outcome.clone(),
-                bytes,
-                tick: 0,
-            },
-        );
-        self.touch(digest);
-        self.enforce_caps();
+        self.put_owned(digest, outcome.clone());
     }
 
     fn len(&self) -> usize {
@@ -282,9 +299,10 @@ impl ResultStore for MemStore {
     }
 }
 
-/// One journal record: the digest lanes plus the outcome, serialized as
-/// canonical JSON inside a checksummed frame.
-#[derive(Serialize, Deserialize)]
+/// One journal record as read back: the digest lanes plus the outcome,
+/// canonical JSON inside a checksummed frame ([`encode_record`] writes
+/// the same fields, borrowing the outcome).
+#[derive(Deserialize)]
 struct Record {
     a: u64,
     b: u64,
@@ -332,7 +350,7 @@ impl JournalStore {
         if let Ok(bytes) = std::fs::read(&snapshot_path) {
             let scan = scan_records(&bytes);
             for (digest, outcome) in scan.records {
-                mem.put(digest, &outcome);
+                mem.put_owned(digest, outcome);
             }
             corrupt.extend(scan.corrupt);
             // A torn snapshot tail (possible only if a pre-rename crash
@@ -354,7 +372,7 @@ impl JournalStore {
             .map_err(|e| Error::Unavailable(format!("reading {}: {e}", journal_path.display())))?;
         let scan = scan_records(&bytes);
         for (digest, outcome) in scan.records {
-            mem.put(digest, &outcome);
+            mem.put_owned(digest, outcome);
         }
         corrupt.extend(scan.corrupt);
         let mut journal_bytes = bytes.len() as u64;
@@ -432,8 +450,10 @@ impl ResultStore for JournalStore {
     }
 
     fn put(&mut self, digest: (u64, u64), outcome: &Outcome) {
-        self.mem.put(digest, outcome);
-        if let Some(frame) = encode_record(digest, outcome) {
+        // One encoding serves both the journal and the byte accounting.
+        let (frame, outcome_len) = encode_measured(digest, outcome);
+        self.mem.insert(digest, outcome.clone(), outcome_len);
+        if let Some(frame) = frame {
             if self.journal.write_all(&frame).is_ok() {
                 self.journal_bytes += frame.len() as u64;
                 // Push the bytes to the OS now: the page cache survives
@@ -473,24 +493,55 @@ impl ResultStore for JournalStore {
 
 /// Encodes one record as its on-disk frame: `u32`-LE payload length,
 /// then 8-byte LE FNV-1a checksum over the JSON, then the JSON bytes.
-/// `None` if the outcome does not serialize (dropped, never panicked on).
+/// `None` if the frame would exceed [`MAX_FRAME_LEN`].
 fn encode_record(digest: (u64, u64), outcome: &Outcome) -> Option<Vec<u8>> {
-    let record = Record {
-        a: digest.0,
-        b: digest.1,
-        outcome: outcome.clone(),
-    };
-    let json = serde_json::to_string(&record).ok()?;
-    let json = json.as_bytes();
-    let payload_len = json.len() + 8;
-    if payload_len > MAX_FRAME_LEN {
-        return None;
+    encode_measured(digest, outcome).0
+}
+
+/// [`encode_record`], plus the length of the outcome's own JSON within
+/// the record — its canonical encoding, which the byte caps count.
+fn encode_measured(digest: (u64, u64), outcome: &Outcome) -> (Option<Vec<u8>>, usize) {
+    let outcome = Measured::new(outcome);
+    let mut frame = vec![0; 12];
+    {
+        let mut ser = Serializer::compact(&mut frame);
+        let mut record = ser.map();
+        record.field("a", &digest.0);
+        record.field("b", &digest.1);
+        record.field("outcome", &outcome);
+        record.end();
     }
-    let mut frame = Vec::with_capacity(4 + payload_len);
-    frame.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    frame.extend_from_slice(&fnv1a(json).to_le_bytes());
-    frame.extend_from_slice(json);
-    Some(frame)
+    let payload_len = frame.len() - 4;
+    if payload_len > MAX_FRAME_LEN {
+        return (None, outcome.len.get());
+    }
+    let checksum = fnv1a(&frame[12..]);
+    frame[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    frame[4..12].copy_from_slice(&checksum.to_le_bytes());
+    (Some(frame), outcome.len.get())
+}
+
+/// Serializes the wrapped value and records how many bytes that took.
+struct Measured<'a, T> {
+    value: &'a T,
+    len: Cell<usize>,
+}
+
+impl<'a, T> Measured<'a, T> {
+    fn new(value: &'a T) -> Self {
+        Measured {
+            value,
+            len: Cell::new(0),
+        }
+    }
+}
+
+impl<T: Serialize> Serialize for Measured<'_, T> {
+    fn serialize(&self, ser: &mut Serializer<'_>) {
+        let start = ser.len();
+        self.value.serialize(ser);
+        self.len.set(ser.len() - start);
+    }
 }
 
 /// The result of scanning a journal byte-for-byte.

@@ -8,7 +8,7 @@
 //! ```text
 //! frame   := length payload
 //! length  := u32, little-endian, number of payload bytes (≤ 64 MiB)
-//! payload := one JSON message (serde_json over the vendored stub)
+//! payload := one JSON message (the vendored serde stub's streaming codec)
 //! ```
 //!
 //! Two session flavors share the framing:
@@ -86,23 +86,39 @@ pub const FAULT_EXIT: u8 = 86;
 /// [`Error::Protocol`] instead of an absurd allocation.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
-/// Writes one frame: little-endian `u32` payload length, then the payload.
+/// Writes one frame: little-endian `u32` payload length, then the payload,
+/// in a single `write_all` — two writes on an unbuffered socket would
+/// send the prefix alone and stall on Nagle and delayed ACKs.
 ///
 /// # Errors
 ///
 /// [`Error::Protocol`] if the payload exceeds [`MAX_FRAME_LEN`] or the
 /// underlying writer fails.
 pub fn write_frame<W: Write + ?Sized>(writer: &mut W, payload: &[u8]) -> Result<(), Error> {
-    if payload.len() > MAX_FRAME_LEN {
+    check_frame_len(payload.len())?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&[0; 4]);
+    frame.extend_from_slice(payload);
+    send_frame(writer, frame)
+}
+
+fn check_frame_len(len: usize) -> Result<(), Error> {
+    if len > MAX_FRAME_LEN {
         return Err(Error::Protocol(format!(
-            "frame of {} bytes exceeds the {MAX_FRAME_LEN}-byte cap",
-            payload.len()
+            "frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"
         )));
     }
-    let len = (payload.len() as u32).to_le_bytes();
+    Ok(())
+}
+
+/// Fills in the length prefix of `frame` (4 placeholder bytes, then the
+/// payload) and writes it whole.
+fn send_frame<W: Write + ?Sized>(writer: &mut W, mut frame: Vec<u8>) -> Result<(), Error> {
+    let len = frame.len() - 4;
+    check_frame_len(len)?;
+    frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
     writer
-        .write_all(&len)
-        .and_then(|()| writer.write_all(payload))
+        .write_all(&frame)
         .map_err(|e| Error::Protocol(format!("writing frame: {e}")))
 }
 
@@ -144,18 +160,20 @@ pub fn read_frame<R: Read + ?Sized>(reader: &mut R) -> Result<Option<Vec<u8>>, E
     Ok(Some(payload))
 }
 
-/// Serializes a message and writes it as one frame.
+/// Serializes a message straight into a frame buffer and writes it as
+/// one frame, in a single `write_all`.
 ///
 /// # Errors
 ///
-/// [`Error::Protocol`] on serialization or I/O failure.
+/// [`Error::Protocol`] if the message encodes to more than
+/// [`MAX_FRAME_LEN`] bytes or the writer fails.
 pub fn write_message<W: Write + ?Sized, T: Serialize>(
     writer: &mut W,
     message: &T,
 ) -> Result<(), Error> {
-    let json =
-        serde_json::to_string(message).map_err(|e| Error::Protocol(format!("encoding: {e}")))?;
-    write_frame(writer, json.as_bytes())
+    let mut frame = vec![0; 4];
+    message.serialize(&mut serde::Serializer::compact(&mut frame));
+    send_frame(writer, frame)
 }
 
 /// Reads one frame and deserializes it; `Ok(None)` on clean end-of-stream.
@@ -189,36 +207,36 @@ pub mod reply {
     }
 
     impl Serialize for Reply {
-        fn to_value(&self) -> serde::Value {
+        fn serialize(&self, ser: &mut serde::Serializer<'_>) {
             match (&self.ok, &self.err) {
-                (Some(outcome), _) => {
-                    serde::Value::Map(vec![("ok".to_string(), outcome.to_value())])
-                }
-                (None, Some(err)) => {
-                    serde::Value::Map(vec![("err".to_string(), serde::Value::Str(err.clone()))])
-                }
-                (None, None) => serde::Value::Map(vec![(
-                    "err".to_string(),
-                    serde::Value::Str("empty reply".to_string()),
-                )]),
+                (Some(outcome), _) => ser.entry("ok", outcome),
+                (None, Some(err)) => ser.entry("err", err),
+                (None, None) => ser.entry("err", "empty reply"),
             }
         }
     }
 
     impl Deserialize for Reply {
-        fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-            if let Ok(ok) = serde::get_field(value, "ok") {
-                return Ok(Reply {
-                    ok: Some(Outcome::from_value(ok)?),
-                    err: None,
-                });
-            }
-            let err = String::from_value(serde::get_field(value, "err")?)?;
-            Ok(Reply {
-                ok: None,
-                err: Some(err),
-            })
+        fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+            de.keyed(&["ok", "err"], decode_keyed)
         }
+    }
+
+    /// Reads the value of a reply's `ok` (`key` 0) or `err` (1) entry.
+    pub(super) fn decode_keyed(
+        key: usize,
+        de: &mut serde::Deserializer<'_>,
+    ) -> Result<Reply, serde::Error> {
+        Ok(match key {
+            0 => Reply {
+                ok: Some(Outcome::deserialize(de)?),
+                err: None,
+            },
+            _ => Reply {
+                ok: None,
+                err: Some(de.string()?),
+            },
+        })
     }
 
     /// Wraps a job result for the wire.
@@ -316,23 +334,20 @@ pub enum Request {
 }
 
 impl Serialize for Request {
-    fn to_value(&self) -> serde::Value {
+    fn serialize(&self, ser: &mut serde::Serializer<'_>) {
         match self {
-            Request::Job(job) => serde::Value::Map(vec![("job".to_string(), job.to_value())]),
-            Request::Ping(nonce) => {
-                serde::Value::Map(vec![("ping".to_string(), serde::Value::U64(*nonce))])
-            }
+            Request::Job(job) => ser.entry("job", job),
+            Request::Ping(nonce) => ser.entry("ping", nonce),
         }
     }
 }
 
 impl Deserialize for Request {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        if let Ok(job) = serde::get_field(value, "job") {
-            return Ok(Request::Job(JobSpec::from_value(job)?));
-        }
-        let nonce = u64::from_value(serde::get_field(value, "ping")?)?;
-        Ok(Request::Ping(nonce))
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        de.keyed(&["job", "ping"], |key, de| match key {
+            0 => JobSpec::deserialize(de).map(Request::Job),
+            _ => de.u64().map(Request::Ping),
+        })
     }
 }
 
@@ -371,20 +386,22 @@ impl ServerFrame {
 }
 
 impl Serialize for ServerFrame {
-    fn to_value(&self) -> serde::Value {
+    fn serialize(&self, ser: &mut serde::Serializer<'_>) {
         match self {
-            ServerFrame::Reply(reply) => reply.to_value(),
-            ServerFrame::Pong(pong) => pong.to_value(),
+            ServerFrame::Reply(reply) => reply.serialize(ser),
+            ServerFrame::Pong(pong) => pong.serialize(ser),
         }
     }
 }
 
 impl Deserialize for ServerFrame {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        if serde::get_field(value, "pong").is_ok() {
-            return Ok(ServerFrame::Pong(Pong::from_value(value)?));
-        }
-        Ok(ServerFrame::Reply(reply::Reply::from_value(value)?))
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        // A `pong` key anywhere makes the frame a pong; otherwise it is a
+        // reply, `ok` before `err`.
+        de.keyed(&["pong", "ok", "err"], |key, de| match key {
+            0 => de.u64().map(|pong| ServerFrame::Pong(Pong { pong })),
+            _ => reply::decode_keyed(key - 1, de).map(ServerFrame::Reply),
+        })
     }
 }
 

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use osp::core::gen::{CapacityModel, LoadModel, RandomInstanceConfig, WeightModel};
 use osp::core::prelude::*;
-use osp::core::wire::{read_frame, read_message, write_frame, write_message};
+use osp::core::wire::{read_frame, read_message, write_frame, write_message, Hello};
 use osp::core::ElementId;
 
 // --- Strategies -----------------------------------------------------------
@@ -235,4 +235,88 @@ fn oversized_frame_declaration_is_rejected_without_allocating() {
         Err(Error::Protocol(_))
     ));
     assert!(sink.is_empty());
+}
+
+#[test]
+fn megabyte_string_frame_decodes_to_the_escaped_value() {
+    // Regression: the string parser once re-validated the whole remaining
+    // input for every character, so a frame of short strings took time
+    // quadratic in its size (176 KB took most of a second; a frame at the
+    // cap would have pinned a connection thread for days). Only the value
+    // is asserted: a quadratic parser makes this test hang, not fail.
+    let entry_json = r#""é✓ 😀 \"q\" \\ \/ \n\t\r é\u0001 plain""#;
+    let entry = "é✓ \u{1F600} \"q\" \\ / \n\t\r é\u{1} plain";
+    let long_json: String = std::iter::repeat_n(r#"abé😀\n"#, 20_000).collect();
+    let long: String = std::iter::repeat_n("abé\u{1F600}\n", 20_000).collect();
+    let count = 20_000;
+    let mut json = String::from(r#"{"version":3,"roster":["#);
+    for _ in 0..count {
+        json.push_str(entry_json);
+        json.push(',');
+    }
+    json.push('"');
+    json.push_str(&long_json);
+    json.push_str(r#""]}"#);
+    assert!(json.len() > 1 << 20, "frame is {} bytes", json.len());
+
+    let mut frame = Vec::new();
+    write_frame(&mut frame, json.as_bytes()).unwrap();
+    let hello: Hello = read_message(&mut Cursor::new(frame)).unwrap().unwrap();
+    assert_eq!(hello.version, 3);
+    assert_eq!(hello.roster.len(), count + 1);
+    assert!(hello.roster[..count].iter().all(|s| s == entry));
+    assert_eq!(hello.roster[count], long);
+}
+
+/// A writer that takes every buffer whole and counts the calls.
+#[derive(Default)]
+struct CountingWriter {
+    bytes: Vec<u8>,
+    writes: usize,
+}
+
+impl std::io::Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn each_frame_is_one_write() {
+    // Length prefix and payload leave in one write: on an unbuffered
+    // socket two writes send the prefix alone and stall on Nagle's
+    // algorithm against the peer's delayed ACK.
+    let outcome = run_spec(
+        &JobSpec {
+            scenario: ScenarioSpec::Biregular {
+                num_sets: 400,
+                set_size: 4,
+                load: 4,
+            },
+            algorithm: AlgorithmSpec::RandPr,
+            seed: 9,
+        },
+        &osp::core::CoreResolver,
+    )
+    .unwrap();
+    let reply = osp::core::wire::reply::encode(&Ok(outcome));
+    let mut sink = CountingWriter::default();
+    write_message(&mut sink, &reply).unwrap();
+    assert_eq!(sink.writes, 1);
+    write_message(&mut sink, &Hello::for_resolver(&osp::core::CoreResolver)).unwrap();
+    assert_eq!(sink.writes, 2);
+    write_frame(&mut sink, b"payload").unwrap();
+    assert_eq!(sink.writes, 3);
+
+    let mut cursor = Cursor::new(sink.bytes);
+    let back: osp::core::wire::reply::Reply = read_message(&mut cursor).unwrap().unwrap();
+    assert_eq!(back, reply);
+    let _: Hello = read_message(&mut cursor).unwrap().unwrap();
+    assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"payload");
 }
