@@ -538,9 +538,9 @@ impl<'a, T> Measured<'a, T> {
 
 impl<T: Serialize> Serialize for Measured<'_, T> {
     fn serialize(&self, ser: &mut Serializer<'_>) {
-        let start = ser.len();
+        let start = ser.output_len();
         self.value.serialize(ser);
-        self.len.set(ser.len() - start);
+        self.len.set(ser.output_len() - start);
     }
 }
 
