@@ -123,9 +123,10 @@ pub trait ResultStore: Send {
     /// Look up a cached outcome, marking it most-recently-used.
     fn get(&mut self, digest: (u64, u64)) -> Option<Outcome>;
     /// Insert (or overwrite) an outcome, evicting LRU entries if a cap
-    /// is exceeded. Outcomes that fail to serialize are dropped silently
-    /// — the cache is an optimisation, a lost insert only costs a future
-    /// recompute.
+    /// is exceeded. A persistent store that cannot write the record (an
+    /// I/O error, or a record over the frame cap) keeps it in memory
+    /// only — the cache is an optimisation, a lost record only costs a
+    /// future recompute.
     fn put(&mut self, digest: (u64, u64), outcome: &Outcome);
     /// Live entries.
     fn len(&self) -> usize;
