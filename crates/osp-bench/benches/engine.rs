@@ -69,8 +69,10 @@ fn bench_engine(c: &mut Criterion) {
                 b.iter(|| {
                     round += 1;
                     let seeds: Vec<u64> = (0..32).map(|i| derive_seed(round, i)).collect();
-                    pool.run_seeds(inst, &seeds, &|s| Box::new(RandPr::from_seed(s)))
-                        .len()
+                    pool.run_seeds(&seeds, &|_| Box::new(inst.source()), &|s| {
+                        Box::new(RandPr::from_seed(s))
+                    })
+                    .len()
                 })
             },
         );

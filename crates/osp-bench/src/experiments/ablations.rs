@@ -66,7 +66,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     for &(name, factory) in variant_specs {
         let trial_seeds = draw_seeds(&mut seeds, trials as usize);
         let mut s = Summary::new();
-        for out in pool().run_seeds(&inst, &trial_seeds, &factory) {
+        for out in pool().run_seeds(&trial_seeds, &|_| Box::new(inst.source()), &factory) {
             s.add(out.benefit());
         }
         results.push((name.to_string(), s));
@@ -115,10 +115,14 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             rp_seeds.push(seeds.next_seed());
             rc_seeds.push(seeds.next_seed());
         }
-        for out in pool().run_seeds(&deep, &rp_seeds, &|s| Box::new(RandPr::from_seed(s))) {
+        for out in pool().run_seeds(&rp_seeds, &|_| Box::new(deep.source()), &|s| {
+            Box::new(RandPr::from_seed(s))
+        }) {
             rp.add(f64::from(u8::from(out.is_completed(SetId(0)))));
         }
-        for out in pool().run_seeds(&deep, &rc_seeds, &|s| Box::new(RandomAssign::from_seed(s))) {
+        for out in pool().run_seeds(&rc_seeds, &|_| Box::new(deep.source()), &|s| {
+            Box::new(RandomAssign::from_seed(s))
+        }) {
             rc.add(f64::from(u8::from(out.is_completed(SetId(0)))));
         }
         collapse.row(vec![

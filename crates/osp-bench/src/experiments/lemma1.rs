@@ -67,7 +67,9 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         let m = inst.num_sets();
         let mut completions: Vec<Summary> = vec![Summary::new(); m];
         let trial_seeds = draw_seeds(&mut seeds, trials as usize);
-        for out in pool().run_seeds(&inst, &trial_seeds, &|s| Box::new(RandPr::from_seed(s))) {
+        for out in pool().run_seeds(&trial_seeds, &|_| Box::new(inst.source()), &|s| {
+            Box::new(RandPr::from_seed(s))
+        }) {
             for (i, s) in completions.iter_mut().enumerate() {
                 s.add(if out.is_completed(SetId(i as u32)) {
                     1.0

@@ -43,20 +43,20 @@
 //! 8. **kernel** — `PolyHash::eval_batch`'s transposed multi-key lanes vs
 //!    scalar `eval` over `m` keys (the single-threaded, ratio-guarded
 //!    `speedup` column), and `HashRandPr`'s `m`-slot table fill serially
-//!    vs through the `OSP_PROLOGUE_THREADS` prologue seam (machine-bound
+//!    vs at the `OSP_REPLAY_THREADS` thread count (machine-bound
 //!    wall ratio, so the `begin speedup` column is informational); the
 //!    `bit-identical` cell asserts batch ≡ scalar key-for-key *and*
 //!    serial ≡ sharded table slot-for-slot;
 //! 9. **pipeline** — ONE huge streamed replay three ways: sequential
-//!    `run_source`, the pipelined session (`run_source_parallel_with`,
-//!    producer thread + chunk ring) with the sharded decision kernel
+//!    `run_source`, the pipelined session (`run_source_with`, producer
+//!    thread + chunk ring) with the sharded decision kernel
 //!    pinned off, and the full pipelined + sharded-decide path. Narrow
 //!    rows stream n ∈ {10⁶, 10⁷, 10⁸} arrivals; a wide-σ row crosses
 //!    `SHARDED_DECIDE_MIN` so the sharded kernel actually runs. Every
 //!    parallel leg must be bit-identical to its sequential leg (the
 //!    guarded cells); thread count follows the `OSP_REPLAY_THREADS`
 //!    policy, so walls are machine-bound (1 thread ⇒ the exact serial
-//!    fallback, 1 core ⇒ ~1×) and the speedup column is informational.
+//!    loop, 1 core ⇒ ~1×) and the speedup column is informational.
 //!
 //! Wall-clock numbers vary with the machine; the *identity* columns must
 //! read `true` everywhere (CI's `bench_guard` enforces this, and holds the
@@ -70,12 +70,13 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use osp_core::algorithms::{GreedyOnline, HashRandPr, RandPr, RandomAssign, TieBreak};
+use osp_core::engine::parallel::replay_threads;
 use osp_core::gen::{random_instance, RandomInstanceConfig, UniformSource};
 use osp_core::spec::{run_spec, AlgorithmSpec, ScenarioSpec};
 use osp_core::wire::socket::WorkerAddr;
 use osp_core::{
-    derived_jobs, run as engine_run, run_source, worker_binary, Dispatcher, OnlineAlgorithm,
-    Outcome, ProcessPool, ReplayJob, SetId, SocketPool, SpecPool,
+    derived_jobs, run as engine_run, run_source, run_source_with, worker_binary, Dispatcher,
+    OnlineAlgorithm, Outcome, ProcessPool, ReplayScratch, SetId, SocketPool, SpecPool,
 };
 use osp_gf::hash::PolyHash;
 use osp_net::NetResolver;
@@ -229,8 +230,11 @@ pub fn run(scale: Scale, seed: u64) -> Report {
                     .collect::<Vec<Outcome>>()
             });
             t_seq = t_seq.min(t);
-            let (t, batched) =
-                timed(|| pool.run_seeds(&inst, &trial_seeds, &|s| Box::new(RandPr::from_seed(s))));
+            let (t, batched) = timed(|| {
+                pool.run_seeds(&trial_seeds, &|_| Box::new(inst.source()), &|s| {
+                    Box::new(RandPr::from_seed(s))
+                })
+            });
             t_batch = t_batch.min(t);
             identical &= sequential == batched;
         }
@@ -281,14 +285,6 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         let mut t_seq = f64::INFINITY;
         let mut t_batch = f64::INFINITY;
         let mut identical = true;
-        let jobs: Vec<ReplayJob<'_>> = trial_seeds
-            .iter()
-            .map(|&seed| ReplayJob {
-                instance: &inst,
-                algorithm: 0,
-                seed,
-            })
-            .collect();
         for _ in 0..rounds {
             let (t, sequential) = timed(|| {
                 trial_seeds
@@ -297,12 +293,10 @@ pub fn run(scale: Scale, seed: u64) -> Report {
                     .collect::<Vec<Outcome>>()
             });
             t_seq = t_seq.min(t);
-            let (t, batched) = timed(|| pool.run_jobs(&jobs, &|_, s| factory(s)));
+            let (t, batched) =
+                timed(|| pool.run_seeds(&trial_seeds, &|_| Box::new(inst.source()), factory));
             t_batch = t_batch.min(t);
-            identical &= batched
-                .iter()
-                .map(|r| r.as_ref().expect("built-ins emit valid decisions"))
-                .eq(sequential.iter());
+            identical &= batched == sequential;
         }
         all_identical &= identical;
         alg_table.row(vec![
@@ -827,7 +821,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         &[10_000usize, 1_000_000][..],
         &[10_000, 1_000_000, 10_000_000][..],
     );
-    let prologue_threads = osp_core::engine::prologue::threads_from_env();
+    let prologue_threads = replay_threads();
     let mut all_kernel_identical = true;
     for &m in kernel_grid {
         let h = PolyHash::new(kernel_independence, kernel_seed);
@@ -922,8 +916,8 @@ pub fn run(scale: Scale, seed: u64) -> Report {
          branchless fold per Horner step, renormalization every 6 steps) feeding the range \
          fill and the lazy candidate scoring; its speedup over scalar eval is \
          single-threaded and algorithmic, so it is ratio-guarded like poly_hash_eval. \
-         The begin columns time hashPr's m-slot table fill serially vs across the \
-         OSP_PROLOGUE_THREADS prologue seam — that ratio is machine-bound (expect ~1× \
+         The begin columns time hashPr's m-slot table fill serially vs at the \
+         OSP_REPLAY_THREADS thread count — that ratio is machine-bound (expect ~1× \
          on a 1-core runner), so only its bit-identical cell is guarded.",
     );
 
@@ -964,12 +958,9 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             self.0.decide_into(arrival, view, out);
         }
     }
-    let replay_threads = osp_core::engine::parallel::threads_from_env();
-    let pipe_config = osp_core::ParallelConfig::with_threads(replay_threads);
+    let pipe_threads = replay_threads();
     let mut all_pipeline_identical = true;
     {
-        use osp_core::engine::parallel::run_source_parallel_with;
-        use osp_core::ReplayScratch;
         // Narrow streamed rows: σ-wide arrivals stay far below
         // SHARDED_DECIDE_MIN, so the pipelined and pipe+shard legs take
         // the same decision path and the columns isolate the session
@@ -1041,8 +1032,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
                     let (t, pipelined) = timed(|| {
                         let mut src = UniformSource::new(&cfg, pipe_seed).unwrap();
                         let mut a = NoShard(alg(lazy));
-                        run_source_parallel_with(&mut src, &mut a, &pipe_config, &mut scratch)
-                            .unwrap()
+                        run_source_with(&mut src, &mut a, pipe_threads, &mut scratch).unwrap()
                     });
                     t_pipe = t_pipe.min(t);
                     identical &= pipelined == serial;
@@ -1051,8 +1041,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
                     let (t, sharded) = timed(|| {
                         let mut src = UniformSource::new(&cfg, pipe_seed).unwrap();
                         let mut a = alg(lazy);
-                        run_source_parallel_with(&mut src, a.as_mut(), &pipe_config, &mut scratch)
-                            .unwrap()
+                        run_source_with(&mut src, a.as_mut(), pipe_threads, &mut scratch).unwrap()
                     });
                     t_shard = t_shard.min(t);
                     identical &= sharded == serial;
@@ -1068,7 +1057,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
                 arrivals_per_sec(1, n, t_serial),
                 arrivals_per_sec(1, n, t_shard),
                 format!("{:.2}×", t_serial / t_shard.max(1e-9)),
-                replay_threads.to_string(),
+                pipe_threads.to_string(),
                 identical.to_string(),
             ]);
         }
@@ -1077,12 +1066,12 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     report.note(format!(
         "pipeline: intra-replay parallelism on ONE instance — a producer thread drains the \
          source into a recycled chunk ring while the consumer steps the session \
-         (run_source_parallel_with), and arrivals wider than SHARDED_DECIDE_MIN fan their \
-         candidate scoring across {replay_threads} thread(s) before the unchanged serial \
+         (run_source_with), and arrivals wider than SHARDED_DECIDE_MIN fan their \
+         candidate scoring across {pipe_threads} thread(s) before the unchanged serial \
          selection. Survivors are bit-identical to sequential run_source at any thread \
          count (the guarded cells; tests/parallel_replay.rs pins the full grid). Thread \
          count follows the OSP_REPLAY_THREADS policy — 1 selects the exact serial \
-         fallback, and on a 1-core runner the wall columns read ~1× by construction, so \
+         loop, and on a 1-core runner the wall columns read ~1× by construction, so \
          like `distributed` only the identity booleans are guarded."
     ));
 

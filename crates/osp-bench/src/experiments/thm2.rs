@@ -12,12 +12,12 @@ use osp_adversary::weak::weak_lower_bound;
 use osp_core::algorithms::{GreedyOnline, RandPr, TieBreak};
 use osp_core::bounds::theorem_2_lower;
 use osp_core::stats::InstanceStats;
-use osp_core::OnlineAlgorithm;
+use osp_core::{OnlineAlgorithm, SourceJob};
 use osp_stats::{SeedSequence, Summary};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::pool::{pool, ReplayJob};
+use crate::pool::pool;
 use crate::report::{NamedTable, Report};
 use crate::Scale;
 
@@ -83,20 +83,26 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             instances.push(g.instance);
             rp_seeds.push(seeds.next_seed());
         }
-        let jobs: Vec<ReplayJob<'_>> = instances
+        let jobs: Vec<SourceJob> = rp_seeds
             .iter()
-            .zip(&rp_seeds)
-            .flat_map(|(instance, &seed)| {
+            .enumerate()
+            .flat_map(|(source, &seed)| {
                 [FIRST_FIT, BY_WEIGHT, FEWEST_REMAINING, RAND_PR]
                     .into_iter()
-                    .map(move |algorithm| ReplayJob {
-                        instance,
+                    .map(move |algorithm| SourceJob {
+                        source,
                         algorithm,
                         seed,
                     })
             })
             .collect();
-        for (job, out) in jobs.iter().zip(pool().run_jobs(&jobs, &alg_factory)) {
+        let outcomes = pool().run_sources(
+            &jobs,
+            &|i, _| Box::new(instances[i].source()),
+            &alg_factory,
+            1,
+        );
+        for (job, out) in jobs.iter().zip(outcomes) {
             let benefit = out.expect("built-in algorithms are valid").benefit();
             match job.algorithm {
                 FIRST_FIT => ff.add(benefit),
@@ -146,20 +152,26 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             instances.push(w.instance);
             rp_seeds.push(seeds.next_seed());
         }
-        let jobs: Vec<ReplayJob<'_>> = instances
+        let jobs: Vec<SourceJob> = rp_seeds
             .iter()
-            .zip(&rp_seeds)
-            .flat_map(|(instance, &seed)| {
+            .enumerate()
+            .flat_map(|(source, &seed)| {
                 [FIRST_FIT, RAND_PR]
                     .into_iter()
-                    .map(move |algorithm| ReplayJob {
-                        instance,
+                    .map(move |algorithm| SourceJob {
+                        source,
                         algorithm,
                         seed,
                     })
             })
             .collect();
-        for (job, out) in jobs.iter().zip(pool().run_jobs(&jobs, &alg_factory)) {
+        let outcomes = pool().run_sources(
+            &jobs,
+            &|i, _| Box::new(instances[i].source()),
+            &alg_factory,
+            1,
+        );
+        for (job, out) in jobs.iter().zip(outcomes) {
             let benefit = out.expect("built-in algorithms are valid").benefit();
             match job.algorithm {
                 FIRST_FIT => ff.add(benefit),

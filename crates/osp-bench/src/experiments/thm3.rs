@@ -79,8 +79,9 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         if let Some(inst) = anti_greedy_instance {
             let mut s = Summary::new();
             let trial_seeds = draw_seeds(&mut seeds, randpr_trials as usize);
-            for out in pool().run_seeds(&inst, &trial_seeds, &|sd| Box::new(RandPr::from_seed(sd)))
-            {
+            for out in pool().run_seeds(&trial_seeds, &|_| Box::new(inst.source()), &|sd| {
+                Box::new(RandPr::from_seed(sd))
+            }) {
                 s.add(out.benefit());
             }
             table.row(vec![

@@ -7,7 +7,7 @@
 //! rate yet lose badly on frame goodput, and the gap widens with load.
 
 use osp_core::algorithms::{GreedyOnline, HashRandPr, RandPr, TieBreak};
-use osp_core::OnlineAlgorithm;
+use osp_core::{OnlineAlgorithm, SourceJob};
 use osp_net::metrics::goodput;
 use osp_net::policy::{RandomDrop, TailDrop};
 use osp_net::trace::{video_trace, VideoTraceConfig};
@@ -16,7 +16,7 @@ use osp_stats::{SeedSequence, Summary};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::pool::{pool, ReplayJob};
+use crate::pool::pool;
 use crate::report::{NamedTable, Report};
 use crate::Scale;
 
@@ -95,15 +95,20 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             specs.push((GREEDY_FR, 0));
             specs.extend((0..randomized_trials).map(|_| (RAND_PR, seeds.next_seed())));
             specs.extend((0..randomized_trials).map(|_| (HASH_PR, seeds.next_seed())));
-            let jobs: Vec<ReplayJob<'_>> = specs
+            let jobs: Vec<SourceJob> = specs
                 .iter()
-                .map(|&(algorithm, seed)| ReplayJob {
-                    instance: &mapped.instance,
+                .map(|&(algorithm, seed)| SourceJob {
+                    source: 0,
                     algorithm,
                     seed,
                 })
                 .collect();
-            let outcomes = pool().run_jobs(&jobs, &policy_factory);
+            let outcomes = pool().run_sources(
+                &jobs,
+                &|_, _| Box::new(mapped.instance.source()),
+                &policy_factory,
+                1,
+            );
             for (job, out) in jobs.iter().zip(outcomes) {
                 let name = policy_name(job.algorithm);
                 let idx = match rows.iter().position(|r| r.0 == name) {

@@ -6,8 +6,8 @@
 //! 1. draw all seeds *sequentially* from the experiment's
 //!    [`SeedSequence`] — in exactly the order the old one-at-a-time loops
 //!    drew them, so reports stay comparable PR-over-PR;
-//! 2. fan the `(instance × seed × algorithm)` work-list across the shared
-//!    [`ReplayPool`];
+//! 2. fan the `(source × seed × algorithm)` work-list across the shared
+//!    [`ReplayPool`] (an instance is a source via `Instance::source`);
 //! 3. consume the outcomes in job order.
 //!
 //! Shard count comes from `OSP_REPLAY_SHARDS` (default: all cores); the
@@ -22,7 +22,7 @@
 //! seeds, same order, bit-identical outcomes either way (pinned by
 //! `tests/process_pool_conformance.rs`).
 
-pub use osp_core::{Dispatcher, ProcessPool, ReplayJob, ReplayPool, SocketPool, SpecPool};
+pub use osp_core::{Dispatcher, ProcessPool, ReplayPool, SocketPool, SpecPool};
 use osp_net::NetResolver;
 use osp_stats::SeedSequence;
 

@@ -98,7 +98,8 @@ where
     assert!(trials >= 1, "need at least one trial");
     let trial_seeds = crate::pool::draw_seeds(seeds, trials as usize);
     let name = factory(trial_seeds[0]).name();
-    let outcomes = crate::pool::pool().run_seeds(instance, &trial_seeds, &factory);
+    let outcomes =
+        crate::pool::pool().run_seeds(&trial_seeds, &|_| Box::new(instance.source()), &factory);
     let mut summary = Summary::new();
     for outcome in &outcomes {
         summary.add(outcome.benefit());

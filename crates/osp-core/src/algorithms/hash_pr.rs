@@ -17,8 +17,7 @@
 use osp_gf::hash::{PolyHash, MERSENNE_61};
 
 use crate::algorithm::{EngineView, OnlineAlgorithm};
-use crate::engine::parallel::{fill_sharded, SHARDED_DECIDE_MIN};
-use crate::engine::prologue;
+use crate::engine::parallel::{fill_sharded, replay_threads, SHARDED_DECIDE_MIN};
 use crate::instance::{Arrival, SetMeta};
 use crate::priority::{Priority, Rw};
 use crate::SetId;
@@ -139,7 +138,7 @@ impl HashRandPr {
 
     /// Builds the priority table over an explicit prologue thread count —
     /// the seam [`begin`](OnlineAlgorithm::begin) rides with the
-    /// `OSP_PROLOGUE_THREADS` policy value, exposed so conformance tests
+    /// `OSP_REPLAY_THREADS` policy value, exposed so conformance tests
     /// and benchmarks can pin any shard count without touching the
     /// process environment. Each slot is a pure function of
     /// `(hash, index, weight)`, so every thread count writes the same
@@ -147,7 +146,8 @@ impl HashRandPr {
     /// polynomial evaluation per set.
     pub fn begin_with_threads(&mut self, sets: &[SetMeta], threads: usize) {
         let hash = &self.hash;
-        self.priorities = prologue::build_table(
+        fill_sharded(
+            &mut self.priorities,
             sets.len(),
             Priority::zero(),
             threads,
@@ -181,7 +181,7 @@ impl OnlineAlgorithm for HashRandPr {
             self.priorities.clear();
             return;
         }
-        self.begin_with_threads(sets, prologue::threads_from_env());
+        self.begin_with_threads(sets, replay_threads());
     }
 
     fn decide_into(&mut self, arrival: &Arrival<'_>, view: &EngineView<'_>, out: &mut Vec<SetId>) {

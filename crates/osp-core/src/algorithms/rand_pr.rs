@@ -4,8 +4,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::algorithm::{EngineView, OnlineAlgorithm};
-use crate::engine::parallel::{fill_sharded, SHARDED_DECIDE_MIN};
-use crate::engine::prologue;
+use crate::engine::parallel::{fill_sharded, replay_threads, SHARDED_DECIDE_MIN};
 use crate::instance::{Arrival, SetMeta};
 use crate::priority::{Priority, Rw};
 use crate::SetId;
@@ -100,7 +99,7 @@ impl RandPr {
 
     /// Draws the priority table over an explicit prologue thread count —
     /// the seam [`begin`](OnlineAlgorithm::begin) rides with the
-    /// `OSP_PROLOGUE_THREADS` policy value, exposed so conformance tests
+    /// `OSP_REPLAY_THREADS` policy value, exposed so conformance tests
     /// can pin any shard count without touching the process environment.
     ///
     /// Bit-identity across shard counts: the SplitMix64 stream is
@@ -113,7 +112,8 @@ impl RandPr {
     /// where a sequential `begin` would have.
     pub fn begin_with_threads(&mut self, sets: &[SetMeta], threads: usize) {
         let base = self.rng.clone();
-        self.priorities = prologue::build_table(
+        fill_sharded(
+            &mut self.priorities,
             sets.len(),
             Priority::zero(),
             threads,
@@ -146,7 +146,7 @@ impl OnlineAlgorithm for RandPr {
     }
 
     fn begin(&mut self, sets: &[SetMeta]) {
-        self.begin_with_threads(sets, prologue::threads_from_env());
+        self.begin_with_threads(sets, replay_threads());
     }
 
     fn decide_into(&mut self, arrival: &Arrival<'_>, view: &EngineView<'_>, out: &mut Vec<SetId>) {

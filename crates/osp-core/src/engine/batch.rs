@@ -1,15 +1,16 @@
-//! Sharded batch replay: many `(instance × seed × algorithm)` jobs at once.
+//! Sharded batch replay: many `(source × seed × algorithm)` jobs at once.
 //!
-//! The experiment harness replays the same frozen [`Instance`]s thousands
-//! of times under different seeds and algorithms. [`ReplayPool`] fans such
-//! a work-list across `std::thread` shards while keeping the results
-//! **bit-identical to sequential replay**:
+//! The experiment harness replays the same frozen
+//! [`Instance`](crate::Instance)s thousands of times under different seeds
+//! and algorithms. [`ReplayPool`] fans such a work-list across
+//! `std::thread` shards while keeping the results **bit-identical to
+//! sequential replay**:
 //!
 //! * every job's seed is fixed *before* fan-out (either by the caller or
 //!   via [`derive_seed`]'s O(1) SplitMix64 stream access), so no job's
 //!   randomness depends on which shard runs it or in which order;
 //! * every shard executes the one and only engine implementation
-//!   ([`Session`](super::Session), via [`run_with_scratch`]) — there is
+//!   ([`Session`](super::Session), via [`run_source_with`]) — there is
 //!   no second "parallel" code path to drift;
 //! * results are returned in job order regardless of shard interleaving.
 //!
@@ -24,11 +25,11 @@
 use crate::algorithm::OnlineAlgorithm;
 use crate::error::Error;
 use crate::ids::ElementId;
-use crate::instance::{Instance, SetMeta};
+use crate::instance::SetMeta;
 use crate::source::ArrivalSource;
 use crate::spec::{run_spec_with_scratch, JobSpec, SpecResolver};
 
-use super::{run_source_with_scratch, run_with_scratch, DecisionLog, Outcome};
+use super::{run_source_with, DecisionLog, Outcome};
 
 /// Reusable engine buffers for one replay shard.
 ///
@@ -47,9 +48,8 @@ pub struct ReplayScratch {
     pub(super) decisions: DecisionLog,
     pub(super) decision_buf: Vec<crate::SetId>,
     pub(super) sorted: Vec<crate::SetId>,
-    /// Per-job copy of a source's set metadata
-    /// ([`run_source_with_scratch`](super::run_source_with_scratch) fills
-    /// it so the source stays free for mutable pulls).
+    /// Per-job copy of a source's set metadata (the replay fills it so
+    /// the source stays free for mutable pulls).
     pub(super) set_metas: Vec<SetMeta>,
 }
 
@@ -83,12 +83,11 @@ fn machine_parallelism() -> usize {
 }
 
 /// The one environment-sizing policy every thread-count variable in the
-/// workspace routes through — `OSP_REPLAY_SHARDS`
-/// ([`ReplayPool::from_env`]), `OSP_WORKERS` (the process pool's worker
-/// count), `OSP_PROLOGUE_THREADS`
-/// ([`prologue::threads_from_env`](super::prologue::threads_from_env))
-/// and `OSP_REPLAY_THREADS`
-/// ([`parallel::threads_from_env`](super::parallel::threads_from_env)).
+/// workspace routes through — `OSP_REPLAY_SHARDS` (jobs in flight,
+/// [`ReplayPool::from_env`]), `OSP_WORKERS` (the process pool's worker
+/// count) and `OSP_REPLAY_THREADS` (threads inside one replay: the
+/// `begin` table fill, the pipeline and the decision hint —
+/// [`parallel::replay_threads`](super::parallel::replay_threads)).
 /// Reads the named variable and applies, deterministically,
 ///
 /// * unset / empty / non-numeric / out-of-range → the machine default
@@ -125,28 +124,17 @@ pub fn derive_seed(root: u64, index: u64) -> u64 {
     splitmix_finalize(root.wrapping_add(GOLDEN_GAMMA.wrapping_mul(index.wrapping_add(1))))
 }
 
-/// One replay job: which instance to replay, which algorithm family
-/// (an index the caller's factory interprets), and the seed for the
-/// algorithm's randomness.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplayJob<'a> {
-    /// The frozen instance to replay.
-    pub instance: &'a Instance,
-    /// Caller-defined algorithm selector, passed through to the factory.
-    pub algorithm: usize,
-    /// Seed handed to the factory (ignore it for deterministic algorithms).
-    pub seed: u64,
-}
-
 /// One streamed replay job: which arrival source to build (a selector the
 /// caller's source factory interprets), which algorithm family, and the
 /// seed handed to both factories.
 ///
-/// Unlike [`ReplayJob`] there is no borrowed instance here: each shard
-/// *rebuilds* its jobs' sources locally from `(source, seed)`, which is
-/// what lets streamed jobs fan out without materializing anything — the
-/// [`ArrivalSource`] determinism contract (same construction inputs ⇒ same
-/// stream) guarantees the rebuilt stream is the one the caller meant.
+/// Each shard *builds* its jobs' sources locally from `(source, seed)` —
+/// a fused generator, or a view of a caller-held
+/// [`Instance`](crate::Instance) via
+/// [`Instance::source`](crate::Instance::source) — so streamed jobs fan
+/// out without materializing anything. The [`ArrivalSource`] determinism
+/// contract (same construction inputs ⇒ same stream) guarantees the
+/// rebuilt stream is the one the caller meant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SourceJob {
     /// Caller-defined source selector, passed through to the source
@@ -166,7 +154,7 @@ pub struct SourceJob {
 ///
 /// ```
 /// use osp_core::prelude::*;
-/// use osp_core::engine::batch::{derive_seed, ReplayJob, ReplayPool};
+/// use osp_core::engine::batch::{derive_seed, ReplayPool};
 ///
 /// let mut b = InstanceBuilder::new();
 /// let s = b.add_set(1.0, 1);
@@ -174,11 +162,13 @@ pub struct SourceJob {
 /// let inst = b.build()?;
 ///
 /// let pool = ReplayPool::new(2);
-/// let jobs: Vec<ReplayJob> = (0..8)
-///     .map(|i| ReplayJob { instance: &inst, algorithm: 0, seed: derive_seed(7, i) })
-///     .collect();
-/// let outcomes = pool.run_jobs(&jobs, &|_, seed| Box::new(RandPr::from_seed(seed)));
-/// assert!(outcomes.iter().all(|o| o.as_ref().unwrap().benefit() == 1.0));
+/// let seeds: Vec<u64> = (0..8).map(|i| derive_seed(7, i)).collect();
+/// let outcomes = pool.run_seeds(
+///     &seeds,
+///     &|_| Box::new(inst.source()),
+///     &|seed| Box::new(RandPr::from_seed(seed)),
+/// );
+/// assert!(outcomes.iter().all(|o| o.benefit() == 1.0));
 /// # Ok::<(), osp_core::Error>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -208,7 +198,7 @@ impl ReplayPool {
         self.shards
     }
 
-    /// The one sharding kernel both public entry points ride: splits
+    /// The one sharding kernel every public lane rides: splits
     /// `items` into contiguous chunks (one per shard), gives every shard
     /// its own state from `init`, applies `f` to each item, and returns
     /// the results **in item order** regardless of which shard computed
@@ -270,23 +260,7 @@ impl ReplayPool {
         self.shard_map(items, || (), |(), i, t| f(i, t))
     }
 
-    /// Replays every job and returns the outcomes in job order.
-    ///
-    /// `factory(algorithm, seed)` constructs the job's algorithm *inside
-    /// the shard that runs it*; each shard reuses one [`ReplayScratch`]
-    /// across its jobs. A job whose algorithm emits an invalid decision
-    /// yields that job's `Err` without disturbing the others.
-    pub fn run_jobs<F>(&self, jobs: &[ReplayJob<'_>], factory: &F) -> Vec<Result<Outcome, Error>>
-    where
-        F: Fn(usize, u64) -> Box<dyn OnlineAlgorithm> + Sync,
-    {
-        self.shard_map(jobs, ReplayScratch::new, |scratch, _, job| {
-            let mut alg = factory(job.algorithm, job.seed);
-            run_with_scratch(job.instance, alg.as_mut(), scratch)
-        })
-    }
-
-    /// The streamed lane: replays every [`SourceJob`] and returns the
+    /// The source lane: replays every [`SourceJob`] and returns the
     /// outcomes in job order, bit-identical to sequential
     /// [`run_source`](super::run_source) on the same jobs.
     ///
@@ -294,9 +268,17 @@ impl ReplayPool {
     /// the job's arrival source and algorithm *inside the shard that runs
     /// it* — nothing about the stream depends on shard count or
     /// scheduling, because every job's seed is fixed before fan-out (the
-    /// same [`derive_seed`] discipline as [`run_jobs`](Self::run_jobs))
-    /// and sources are deterministic in their construction inputs. Each
-    /// shard reuses one [`ReplayScratch`] across its jobs.
+    /// [`derive_seed`] discipline) and sources are deterministic in their
+    /// construction inputs. Each job replays through
+    /// [`run_source_with`] with `threads`, so this lane composes batch
+    /// fan-out (`OSP_REPLAY_SHARDS` jobs in flight) with intra-replay
+    /// parallelism (`threads` per job; 1 = the serial loop). Each shard
+    /// reuses one [`ReplayScratch`] across its jobs, and a job whose
+    /// algorithm emits an invalid decision yields that job's `Err` without
+    /// disturbing the others.
+    ///
+    /// Sources must be `Send`: at 2+ threads each job's source crosses
+    /// into that job's producer thread.
     ///
     /// # Examples
     ///
@@ -314,6 +296,7 @@ impl ReplayPool {
     ///     &jobs,
     ///     &|_, seed| Box::new(UniformSource::new(&cfg, seed).unwrap()),
     ///     &|_, seed| Box::new(RandPr::from_seed(seed)),
+    ///     1,
     /// );
     /// assert_eq!(outcomes.len(), 8);
     /// assert!(outcomes.iter().all(|o| o.is_ok()));
@@ -323,37 +306,7 @@ impl ReplayPool {
         jobs: &[SourceJob],
         sources: &SF,
         algorithms: &AF,
-    ) -> Vec<Result<Outcome, Error>>
-    where
-        SF: Fn(usize, u64) -> Box<dyn ArrivalSource + 'a> + Sync,
-        AF: Fn(usize, u64) -> Box<dyn OnlineAlgorithm> + Sync,
-    {
-        self.shard_map(jobs, ReplayScratch::new, |scratch, _, job| {
-            let mut source = sources(job.source, job.seed);
-            let mut alg = algorithms(job.algorithm, job.seed);
-            run_source_with_scratch(&mut source, alg.as_mut(), scratch)
-        })
-    }
-
-    /// The composed lane: batch fan-out × intra-replay parallelism. Every
-    /// [`SourceJob`] replays through the pipelined session
-    /// ([`run_source_parallel_with`](super::parallel::run_source_parallel_with))
-    /// with `config` threads, while this pool still shards the *job list*
-    /// — `OSP_REPLAY_SHARDS` jobs in flight, each overlapping its arrival
-    /// generation with its decision loop on `OSP_REPLAY_THREADS` threads.
-    /// Outcomes are bit-identical to [`run_sources`](Self::run_sources)
-    /// (and therefore to sequential [`run_source`](super::run_source)) at
-    /// every shard × thread combination, because both axes preserve the
-    /// bit-identity contract independently.
-    ///
-    /// Sources must be `Send`: each job's source crosses into that job's
-    /// producer thread.
-    pub fn run_sources_pipelined<'a, SF, AF>(
-        &self,
-        jobs: &[SourceJob],
-        sources: &SF,
-        algorithms: &AF,
-        config: &super::parallel::ParallelConfig,
+        threads: usize,
     ) -> Vec<Result<Outcome, Error>>
     where
         SF: Fn(usize, u64) -> Box<dyn ArrivalSource + Send + 'a> + Sync,
@@ -362,7 +315,7 @@ impl ReplayPool {
         self.shard_map(jobs, ReplayScratch::new, |scratch, _, job| {
             let mut source = sources(job.source, job.seed);
             let mut alg = algorithms(job.algorithm, job.seed);
-            super::parallel::run_source_parallel_with(&mut source, alg.as_mut(), config, scratch)
+            run_source_with(&mut source, alg.as_mut(), threads, scratch)
         })
     }
 
@@ -384,23 +337,20 @@ impl ReplayPool {
         })
     }
 
-    /// Convenience for the common one-source-family/one-algorithm case:
-    /// builds one source per seed and replays each, returning the outcomes
-    /// in seed order.
+    /// Convenience over [`run_sources`](Self::run_sources) for the common
+    /// one-source/one-algorithm case: builds one source and one algorithm
+    /// per seed, replays each serially, and returns the outcomes in seed
+    /// order. A materialized instance is passed as
+    /// `&|_| Box::new(instance.source())`.
     ///
     /// # Panics
     ///
     /// Panics if the algorithm emits an invalid decision (the built-in
     /// algorithms never do); use [`run_sources`](Self::run_sources) to
     /// observe per-job errors instead.
-    pub fn run_source_seeds<'a, SF, AF>(
-        &self,
-        seeds: &[u64],
-        source: &SF,
-        algorithm: &AF,
-    ) -> Vec<Outcome>
+    pub fn run_seeds<'a, SF, AF>(&self, seeds: &[u64], source: &SF, algorithm: &AF) -> Vec<Outcome>
     where
-        SF: Fn(u64) -> Box<dyn ArrivalSource + 'a> + Sync,
+        SF: Fn(u64) -> Box<dyn ArrivalSource + Send + 'a> + Sync,
         AF: Fn(u64) -> Box<dyn OnlineAlgorithm> + Sync,
     {
         let jobs: Vec<SourceJob> = seeds
@@ -411,36 +361,15 @@ impl ReplayPool {
                 seed,
             })
             .collect();
-        self.run_sources(&jobs, &|_, seed| source(seed), &|_, seed| algorithm(seed))
-            .into_iter()
-            .map(|r| r.expect("batch algorithm emitted an invalid decision"))
-            .collect()
-    }
-
-    /// Convenience for the common one-instance/one-algorithm case: replays
-    /// `instance` once per seed and returns the outcomes in seed order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the algorithm emits an invalid decision (the built-in
-    /// algorithms never do); use [`run_jobs`](Self::run_jobs) to observe
-    /// per-job errors instead.
-    pub fn run_seeds<F>(&self, instance: &Instance, seeds: &[u64], factory: &F) -> Vec<Outcome>
-    where
-        F: Fn(u64) -> Box<dyn OnlineAlgorithm> + Sync,
-    {
-        let jobs: Vec<ReplayJob<'_>> = seeds
-            .iter()
-            .map(|&seed| ReplayJob {
-                instance,
-                algorithm: 0,
-                seed,
-            })
-            .collect();
-        self.run_jobs(&jobs, &|_, seed| factory(seed))
-            .into_iter()
-            .map(|r| r.expect("batch algorithm emitted an invalid decision"))
-            .collect()
+        self.run_sources(
+            &jobs,
+            &|_, seed| source(seed),
+            &|_, seed| algorithm(seed),
+            1,
+        )
+        .into_iter()
+        .map(|r| r.expect("batch algorithm emitted an invalid decision"))
+        .collect()
     }
 }
 
@@ -450,6 +379,7 @@ mod tests {
     use crate::algorithms::{GreedyOnline, RandPr, TieBreak};
     use crate::engine::run;
     use crate::gen::{random_instance, RandomInstanceConfig};
+    use crate::instance::Instance;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -486,7 +416,9 @@ mod tests {
             .collect();
         for shards in [1usize, 2, 3, 8, 32] {
             let pool = ReplayPool::new(shards);
-            let batch = pool.run_seeds(&inst, &seeds, &|s| Box::new(RandPr::from_seed(s)));
+            let batch = pool.run_seeds(&seeds, &|_| Box::new(inst.source()), &|s| {
+                Box::new(RandPr::from_seed(s))
+            });
             assert_eq!(batch, sequential, "shards={shards}");
         }
     }
@@ -498,38 +430,29 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(6);
             random_instance(&RandomInstanceConfig::unweighted(10, 25, 3), &mut rng).unwrap()
         };
-        let jobs = vec![
-            ReplayJob {
-                instance: &a,
-                algorithm: 0,
-                seed: 1,
-            },
-            ReplayJob {
-                instance: &b,
-                algorithm: 1,
-                seed: 0,
-            },
-            ReplayJob {
-                instance: &a,
-                algorithm: 1,
-                seed: 0,
-            },
-            ReplayJob {
-                instance: &b,
-                algorithm: 0,
-                seed: 2,
-            },
-        ];
+        let instances = [&a, &b];
+        let jobs = [(0, 0, 1), (1, 1, 0), (0, 1, 0), (1, 0, 2)].map(|(source, algorithm, seed)| {
+            SourceJob {
+                source,
+                algorithm,
+                seed,
+            }
+        });
         let factory = |alg: usize, seed: u64| -> Box<dyn OnlineAlgorithm> {
             match alg {
                 0 => Box::new(RandPr::from_seed(seed)),
                 _ => Box::new(GreedyOnline::new(TieBreak::ByWeight)),
             }
         };
-        let pooled = ReplayPool::new(3).run_jobs(&jobs, &factory);
+        let pooled = ReplayPool::new(3).run_sources(
+            &jobs,
+            &|i, _| Box::new(instances[i].source()),
+            &factory,
+            1,
+        );
         for (job, got) in jobs.iter().zip(&pooled) {
             let mut alg = factory(job.algorithm, job.seed);
-            let want = run(job.instance, alg.as_mut()).unwrap();
+            let want = run(instances[job.source], alg.as_mut()).unwrap();
             assert_eq!(got.as_ref().unwrap(), &want);
         }
     }
@@ -612,11 +535,17 @@ mod tests {
     #[test]
     fn empty_job_list_is_empty_result() {
         let pool = ReplayPool::new(4);
+        let empty = crate::InstanceBuilder::new().build().unwrap();
         assert!(pool
-            .run_jobs(&[], &|_, s| Box::new(RandPr::from_seed(s)))
+            .run_sources(
+                &[],
+                &|_, _| Box::new(empty.source()),
+                &|_, s| Box::new(RandPr::from_seed(s)),
+                1,
+            )
             .is_empty());
-        let empty: [u8; 0] = [];
-        assert!(pool.map(&empty, |_, &x| x).is_empty());
+        let no_items: [u8; 0] = [];
+        assert!(pool.map(&no_items, |_, &x| x).is_empty());
     }
 
     #[test]
@@ -627,22 +556,22 @@ mod tests {
         let s1 = b.add_set(1.0, 1);
         b.add_element(1, &[s0, s1]);
         let inst = b.build().unwrap();
-        let jobs = vec![
-            ReplayJob {
-                instance: &inst,
-                algorithm: 0, // feasible: pick s0 only
-                seed: 0,
-            },
-            ReplayJob {
-                instance: &inst,
-                algorithm: 1, // infeasible: oracle wants both, capacity 1
-                seed: 0,
-            },
-        ];
-        let out = ReplayPool::new(2).run_jobs(&jobs, &|alg, _| match alg {
-            0 => Box::new(OracleOnline::new(vec![s0])),
-            _ => Box::new(OracleOnline::new(vec![s0, s1])),
+        // Selector 0 is feasible (pick s0 only); selector 1 is not (the
+        // oracle wants both sets under capacity 1).
+        let jobs = [0, 1].map(|algorithm| SourceJob {
+            source: 0,
+            algorithm,
+            seed: 0,
         });
+        let out = ReplayPool::new(2).run_sources(
+            &jobs,
+            &|_, _| Box::new(inst.source()),
+            &|alg, _| match alg {
+                0 => Box::new(OracleOnline::new(vec![s0])),
+                _ => Box::new(OracleOnline::new(vec![s0, s1])),
+            },
+            1,
+        );
         assert!(out[0].is_ok());
         assert!(matches!(out[1], Err(Error::DecisionOverCapacity { .. })));
     }

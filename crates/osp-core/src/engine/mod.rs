@@ -1,6 +1,6 @@
 //! The online execution engine.
 //!
-//! Nine entry points:
+//! Entry points:
 //!
 //! * [`run_source`] drives an [`OnlineAlgorithm`] over any
 //!   [`ArrivalSource`] — the primary ingestion path. Sources stream
@@ -8,28 +8,25 @@
 //!   materialized instance), so scenario size is bounded by the source's
 //!   resident state, not by RAM holding a hypergraph.
 //! * [`run`] replays a frozen [`Instance`]'s arrival sequence — the
-//!   standard evaluation path. It is a thin wrapper over [`run_source`]
+//!   standard evaluation path. It is a thin wrapper over the same loop
 //!   via [`Instance::source`]: a materialized instance is just one
 //!   [`ArrivalSource`] whose arrivals are zero-copy views into its CSR
 //!   arena, so there is exactly one engine loop for both worlds.
+//! * [`run_source_with`] is the configurable replay: a thread count and
+//!   caller-provided [`batch::ReplayScratch`], so consecutive replays
+//!   reuse the engine's buffers. One thread is the serial loop of
+//!   [`run_source`]; two or more run the pipeline of [`parallel`], which
+//!   overlaps arrival generation with deciding. Bit-identical to
+//!   [`run_source`] at any thread count.
 //! * [`Session`] drives an algorithm *one arrival at a time* without a
 //!   pre-built instance, which is what adaptive adversaries (Theorem 3)
 //!   need: they decide the next element only after seeing the algorithm's
 //!   previous choice. [`Session::drain_source`] feeds it from a source.
-//! * [`run_source_parallel`] (and its instance twin [`run_parallel`])
-//!   replay **one** huge stream with intra-replay parallelism
-//!   ([`parallel`]): a producer thread drains the source into a
-//!   double-buffered chunk ring while the consumer runs the same
-//!   [`Session::step`] loop, and arrivals whose candidate count crosses
-//!   [`parallel::SHARDED_DECIDE_MIN`] shard their score fill across
-//!   scoped threads ([`parallel::fill_sharded`]). Thread count from
-//!   `OSP_REPLAY_THREADS` ([`batch::env_parallelism`] policy; 1 = the
-//!   serial path), bit-identical to [`run_source`] at any count.
 //! * [`batch`] fans a work-list across threads ([`batch::ReplayPool`])
-//!   with per-shard reusable [`batch::ReplayScratch`] buffers — both the
-//!   `(instance × seed × algorithm)` lane ([`batch::ReplayPool::run_jobs`])
-//!   and the streamed `(source × seed × algorithm)` lane
-//!   ([`batch::ReplayPool::run_sources`]); outcomes are bit-identical to
+//!   with per-shard reusable [`batch::ReplayScratch`] buffers — the
+//!   streamed `(source × seed × algorithm)` lane
+//!   ([`batch::ReplayPool::run_sources`]) and the spec lane
+//!   ([`batch::ReplayPool::run_specs`]); outcomes are bit-identical to
 //!   sequential replay because every path executes this module's
 //!   [`Session`] logic.
 //! * [`dispatch`] runs **data-driven job specs**
@@ -77,21 +74,13 @@
 //!   `fleet` verb ([`dispatch::FleetHandle`]). Pinned by
 //!   `tests/crash_recovery.rs` against the real binaries.
 //!
-//! Alongside the entry points sit two intra-replay seams. The
-//! [`prologue`] seam parallelizes `begin()`: every built-in algorithm
-//! builds an O(m) per-set table whose slot `i` is a pure function of
-//! `(seed, i)` (§3.1's system-wide hash for `hashPr`; counter-based
-//! SplitMix64 jump-ahead for `randPr`), so [`prologue::build_table`]
-//! shards disjoint index ranges across scoped threads
-//! (`OSP_PROLOGUE_THREADS`, same [`batch::env_parallelism`] policy;
-//! 1 = the serial path) and any shard count writes exactly the same
-//! bytes. The [`parallel`] seam extends the discipline to the replay
-//! itself: the arrival loop stays sequential — decisions are
-//! order-dependent — but arrival *generation* overlaps it (the
-//! pipelined session) and wide decisions shard their score fill
-//! ([`parallel::fill_sharded`]) while the selection keeps the exact
-//! serial comparator sequence, so every golden outcome stays
-//! bit-identical.
+//! Inside one replay the arrival loop stays sequential — decisions are
+//! order-dependent — and [`parallel`] holds the only parts that fan out:
+//! the O(m) `begin` table fill and the sharded score fill of very wide
+//! decisions (both through [`parallel::fill_sharded`]), and the pipeline.
+//! One knob, `OSP_REPLAY_THREADS` ([`parallel::replay_threads`]), sizes
+//! all of them, and every golden outcome stays bit-identical at any
+//! value.
 //!
 //! All paths enforce the model's rules (§2): each decision must pick at
 //! most `b(u)` distinct sets from `C(u)`. A set is **completed** iff it was
@@ -109,7 +98,6 @@
 pub mod batch;
 pub mod dispatch;
 pub mod parallel;
-pub mod prologue;
 
 use crate::algorithm::{EngineView, OnlineAlgorithm};
 use crate::error::Error;
@@ -118,7 +106,6 @@ use crate::instance::{Arrival, Instance, SetMeta};
 use crate::source::ArrivalSource;
 
 pub use batch::{derive_seed, ReplayPool, ReplayScratch};
-pub use parallel::{run_parallel, run_source_parallel, ParallelConfig};
 
 /// A flat record of every decision of a run: one CSR arena (offsets +
 /// data) instead of a `Vec<SetId>` per arrival, so logging a decision is
@@ -728,27 +715,7 @@ pub fn run<A: OnlineAlgorithm + ?Sized>(
     instance: &Instance,
     algorithm: &mut A,
 ) -> Result<Outcome, Error> {
-    let mut scratch = ReplayScratch::new();
-    run_with_scratch(instance, algorithm, &mut scratch)
-}
-
-/// [`run`] with caller-provided [`ReplayScratch`], so consecutive replays
-/// reuse the engine's bookkeeping buffers. The batch shards call this in a
-/// loop; the outcome is identical to [`run`]'s.
-///
-/// This is a thin wrapper over [`run_source_with_scratch`] on
-/// [`Instance::source`] — the instance and streaming worlds share one
-/// engine loop.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_with_scratch<A: OnlineAlgorithm + ?Sized>(
-    instance: &Instance,
-    algorithm: &mut A,
-    scratch: &mut ReplayScratch,
-) -> Result<Outcome, Error> {
-    run_source_with_scratch(&mut instance.source(), algorithm, scratch)
+    replay_serial(&mut instance.source(), algorithm, &mut ReplayScratch::new())
 }
 
 /// Runs `algorithm` over every arrival `source` yields and returns the
@@ -781,22 +748,88 @@ where
     S: ArrivalSource + ?Sized,
     A: OnlineAlgorithm + ?Sized,
 {
-    let mut scratch = ReplayScratch::new();
-    run_source_with_scratch(source, algorithm, &mut scratch)
+    replay_serial(source, algorithm, &mut ReplayScratch::new())
 }
 
-/// [`run_source`] with caller-provided [`ReplayScratch`]. The set metadata
-/// is copied into a scratch-recycled buffer (one warm `memcpy` of `m`
-/// entries per job — never per arrival) so the source stays free for
-/// mutable pulls while the [`Session`] borrows the metas.
+/// [`run_source`] with a thread count and caller-provided
+/// [`ReplayScratch`] — the one configurable replay. Consecutive calls on
+/// one scratch reuse the engine's buffers, and the outcome is
+/// bit-identical to [`run_source`]'s at every `threads` value.
+///
+/// `threads` is first announced to the algorithm as its decision hint
+/// ([`OnlineAlgorithm::set_decision_threads`]), so arrivals wider than
+/// [`parallel::SHARDED_DECIDE_MIN`] can shard their score fill. Then
+/// `threads <= 1` runs the serial loop on the caller's thread, and
+/// `threads >= 2` runs the pipeline ([`parallel`]): one producer thread
+/// copies arrivals into recycled chunk arenas while the caller's thread
+/// decides. Pass [`parallel::replay_threads`] to follow
+/// `OSP_REPLAY_THREADS`.
 ///
 /// # Errors
 ///
 /// Same contract as [`run_source`].
-pub fn run_source_with_scratch<S, A>(
+///
+/// # Examples
+///
+/// ```
+/// use osp_core::prelude::*;
+///
+/// let mut b = InstanceBuilder::new();
+/// let s = b.add_set(1.0, 1);
+/// b.add_element(1, &[s]);
+/// let inst = b.build()?;
+/// let mut scratch = ReplayScratch::new();
+/// let mut alg = GreedyOnline::new(TieBreak::ByWeight);
+/// let pipelined = run_source_with(&mut inst.source(), &mut alg, 2, &mut scratch)?;
+/// let serial = run(&inst, &mut GreedyOnline::new(TieBreak::ByWeight))?;
+/// assert_eq!(pipelined, serial);
+/// # Ok::<(), osp_core::Error>(())
+/// ```
+pub fn run_source_with<S, A>(
+    source: &mut S,
+    algorithm: &mut A,
+    threads: usize,
+    scratch: &mut ReplayScratch,
+) -> Result<Outcome, Error>
+where
+    S: ArrivalSource + Send + ?Sized,
+    A: OnlineAlgorithm + ?Sized,
+{
+    algorithm.set_decision_threads(threads.max(1));
+    if threads <= 1 {
+        replay_serial(source, algorithm, scratch)
+    } else {
+        parallel::pipeline(source, algorithm, parallel::PIPELINE_CHUNK, scratch)
+    }
+}
+
+/// The serial replay loop. Needs no `Send` bound, which is why the spec
+/// lane (boxed resolver sources) replays through it.
+pub(crate) fn replay_serial<S, A>(
     source: &mut S,
     algorithm: &mut A,
     scratch: &mut ReplayScratch,
+) -> Result<Outcome, Error>
+where
+    S: ArrivalSource + ?Sized,
+    A: OnlineAlgorithm + ?Sized,
+{
+    replay_in(source, algorithm, scratch, |session, source, algorithm| {
+        session.drain_source(source, algorithm)
+    })
+}
+
+/// The frame both replay loops share: opens a [`Session`] over `source`'s
+/// set metadata on recycled `scratch` buffers, lets `drive` feed it, and
+/// finishes it. The metadata is copied into a scratch-recycled buffer
+/// (one warm `memcpy` of `m` entries per job — never per arrival) so the
+/// source stays free for mutable pulls while the session borrows the
+/// metas.
+fn replay_in<S, A>(
+    source: &mut S,
+    algorithm: &mut A,
+    scratch: &mut ReplayScratch,
+    drive: impl FnOnce(&mut Session<'_>, &mut S, &mut A) -> Result<(), Error>,
 ) -> Result<Outcome, Error>
 where
     S: ArrivalSource + ?Sized,
@@ -806,10 +839,7 @@ where
     metas.clear();
     metas.extend_from_slice(source.sets());
     let mut session = Session::with_scratch(&metas, algorithm, scratch);
-    let outcome = match session.drain_source(source, algorithm) {
-        Ok(()) => Ok(session.finish_into(scratch)),
-        Err(e) => Err(e),
-    };
+    let outcome = drive(&mut session, source, algorithm).map(|()| session.finish_into(scratch));
     scratch.set_metas = metas;
     outcome
 }
@@ -1062,8 +1092,12 @@ mod tests {
         // buffers explicitly.
         for _ in 0..2 {
             let fresh = run(&inst, &mut Scripted::new(script.clone())).unwrap();
-            let reused =
-                run_with_scratch(&inst, &mut Scripted::new(script.clone()), &mut scratch).unwrap();
+            let reused = replay_serial(
+                &mut inst.source(),
+                &mut Scripted::new(script.clone()),
+                &mut scratch,
+            )
+            .unwrap();
             assert_eq!(fresh.completed(), reused.completed());
             assert_eq!(fresh.benefit().to_bits(), reused.benefit().to_bits());
             assert_eq!(fresh.decisions(), reused.decisions());
@@ -1092,10 +1126,19 @@ mod tests {
         let small_script = vec![vec![s0], vec![s0], vec![s2]];
 
         let mut scratch = ReplayScratch::new();
-        run_with_scratch(&big, &mut Scripted::new(big_script), &mut scratch).unwrap();
+        replay_serial(
+            &mut big.source(),
+            &mut Scripted::new(big_script),
+            &mut scratch,
+        )
+        .unwrap();
         let fresh = run(&small, &mut Scripted::new(small_script.clone())).unwrap();
-        let reused =
-            run_with_scratch(&small, &mut Scripted::new(small_script), &mut scratch).unwrap();
+        let reused = replay_serial(
+            &mut small.source(),
+            &mut Scripted::new(small_script),
+            &mut scratch,
+        )
+        .unwrap();
         assert_eq!(fresh, reused);
         assert_eq!(reused.decisions().len(), 3);
     }

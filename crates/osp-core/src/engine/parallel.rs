@@ -1,59 +1,60 @@
-//! Intra-replay parallelism: the pipelined session and the sharded
-//! decision kernel — parallelism *within* one huge replay, as opposed to
-//! the across-jobs lanes ([`ReplayPool`](super::batch::ReplayPool),
+//! Intra-replay parallelism — parallelism *within* one replay, as opposed
+//! to the across-jobs lanes ([`ReplayPool`](super::batch::ReplayPool),
 //! process/socket pools).
 //!
-//! Two mechanisms, both preserving the bit-identity contract exactly:
+//! Each decision depends on every earlier one, so the arrival loop itself
+//! stays sequential. Three things around it fan out, all preserving the
+//! bit-identity contract exactly:
 //!
-//! 1. **Pipelined session** ([`run_source_parallel`]): a producer thread
-//!    drains the [`ArrivalSource`] into a double-buffered ring of chunk
-//!    arenas (arrivals copied into a reused CSR arena per chunk — the
-//!    same flat layout [`Instance`] uses, so the steady
-//!    state allocates nothing) while the consumer thread runs the
-//!    existing [`Session::step`] loop over the previous chunk. Decisions
-//!    are order-dependent, so the arrival loop itself stays sequential —
-//!    but generation cost (20–60% of wall for fused generator sources)
-//!    is hidden behind decision cost. The arrivals the consumer replays
-//!    are byte-for-byte the arrivals the source yielded, so outcomes are
-//!    bit-identical to [`run_source`](super::run_source) by
+//! 1. **The `begin` table fill.** `randPr`'s priority table and `hashPr`'s
+//!    hashed priorities hold one value per set, and slot `i` is a **pure
+//!    function of `(seed, i)`**: `hashPr` evaluates a shared polynomial at
+//!    the set id, and `randPr` draws from a counter-based SplitMix64
+//!    stream whose position before set `i` is known without generating
+//!    (`StdRng::advance` jump-ahead). [`fill_sharded`] hands disjoint
+//!    contiguous index ranges to scoped threads, and any shard count
+//!    writes exactly the same bytes.
+//! 2. **The pipeline.** [`run_source_with`](super::run_source_with) at 2+
+//!    threads runs a producer thread that drains the [`ArrivalSource`]
+//!    into a double-buffered ring of chunk arenas (arrivals copied into a
+//!    reused CSR arena per chunk — the same flat layout
+//!    [`Instance`](crate::Instance) uses, so the steady state allocates
+//!    nothing) while the caller's thread runs the unchanged
+//!    [`Session::step`](super::Session::step) loop over the previous
+//!    chunk. Generation cost is hidden behind decision cost, and the
+//!    consumer replays byte-for-byte the arrivals the source yielded, so
+//!    outcomes are bit-identical to [`run_source`](super::run_source) by
 //!    construction.
+//! 3. **The sharded decision kernel** (threshold [`SHARDED_DECIDE_MIN`]):
+//!    when one arrival's candidate count crosses the threshold, the
+//!    built-in algorithms fill a position-aligned scored buffer through
+//!    [`fill_sharded`], then select the winners over the *full* buffer
+//!    with the exact serial
+//!    [`select_top_b`](crate::algorithms) comparator sequence. Only the
+//!    fill is sharded, never the selection, so survivors and their order
+//!    are bit-identical to the serial path at any thread count.
 //!
-//! 2. **Sharded decision kernel** ([`fill_sharded`], threshold
-//!    [`SHARDED_DECIDE_MIN`]): when one arrival's candidate count crosses
-//!    the threshold, the built-in algorithms score candidates in
-//!    disjoint contiguous ranges across scoped threads (the
-//!    [`prologue::build_table`](super::prologue::build_table) fan-out
-//!    shape, applied per arrival) into one position-aligned scored
-//!    buffer, then select the winners over the *full* buffer with the
-//!    exact serial
-//!    [`select_top_b`](crate::algorithms) comparator sequence. Because
-//!    only the score *fill* is sharded — never the selection — survivors
-//!    and their order are bit-identical to the serial path at ANY thread
-//!    count.
-//!
-//! Thread counts come from `OSP_REPLAY_THREADS` under the workspace-wide
-//! [`env_parallelism`] policy (unset → machine default, `0` → 1, junk →
-//! machine default); one thread is exactly the historical serial path
-//! ([`run_source_with_scratch`] is called directly — no producer thread,
-//! no chunk copies). Batch and intra-replay parallelism compose via
-//! [`ReplayPool::run_sources_pipelined`](super::batch::ReplayPool::run_sources_pipelined):
-//! `OSP_REPLAY_SHARDS` jobs × `OSP_REPLAY_THREADS` threads per job.
-//! `tests/parallel_replay.rs` pins thread counts {1, 2, 8} bit-identical
-//! across the full algorithm × generator conformance grid.
+//! One knob sizes all three: `OSP_REPLAY_THREADS`, read by
+//! [`replay_threads`] under the workspace-wide [`env_parallelism`] policy
+//! (unset → machine default, `0` → 1, junk → machine default). `begin`
+//! reads it for the table fill; callers that want the pipeline pass it to
+//! [`run_source_with`](super::run_source_with), which also announces it to
+//! the algorithm as the decision hint. One thread is exactly the serial
+//! path everywhere. [`run_source`](super::run_source) never reads the
+//! knob: it is always the serial loop. `tests/parallel_replay.rs` and
+//! `tests/batch_equivalence.rs` pin thread counts {1, 2, 8}
+//! bit-identical across the algorithm × generator grid.
 
 use std::sync::mpsc::sync_channel;
 
 use crate::algorithm::OnlineAlgorithm;
 use crate::error::Error;
 use crate::ids::{ElementId, SetId};
-use crate::instance::{Arrival, Instance};
+use crate::instance::Arrival;
 use crate::source::ArrivalSource;
 
 use super::batch::{env_parallelism, ReplayScratch};
-use super::{run_source_with_scratch, Outcome, Session};
-
-/// The environment variable sizing intra-replay parallelism.
-pub const REPLAY_THREADS_VAR: &str = "OSP_REPLAY_THREADS";
+use super::Outcome;
 
 /// Candidate count at which the built-in algorithms switch one decision's
 /// score fill from the serial loop to the sharded kernel. Measured on the
@@ -68,45 +69,16 @@ pub const SHARDED_DECIDE_MIN: usize = 4096;
 /// Arrivals staged per pipeline chunk: large enough to amortize the
 /// channel round trip to well under a nanosecond per arrival, small
 /// enough that two in-flight chunks stay cache-resident.
-const PIPELINE_CHUNK: usize = 1024;
+pub(super) const PIPELINE_CHUNK: usize = 1024;
 
 /// Chunk arenas in flight (double buffering: the producer fills one while
 /// the consumer drains the other).
 const PIPELINE_RING: usize = 2;
 
-/// The replay thread count from `OSP_REPLAY_THREADS` under the
+/// The thread count for one replay, from `OSP_REPLAY_THREADS` under the
 /// [`env_parallelism`] policy.
-pub fn threads_from_env() -> usize {
-    env_parallelism(REPLAY_THREADS_VAR)
-}
-
-/// Tuning for the pipelined entry points, decoupled from the process
-/// environment so tests and benchmarks can pin any configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Total threads for one replay: `<= 1` is the exact serial path;
-    /// `>= 2` runs the producer/consumer pipeline, and the same value is
-    /// announced to the algorithm as its sharded-decide fan-out
-    /// ([`OnlineAlgorithm::set_decision_threads`]).
-    pub threads: usize,
-    /// Arrivals staged per pipeline chunk (clamped to at least 1).
-    pub chunk: usize,
-}
-
-impl ParallelConfig {
-    /// The configuration [`run_source_parallel`] uses: thread count from
-    /// `OSP_REPLAY_THREADS` ([`threads_from_env`]), default chunking.
-    pub fn from_env() -> Self {
-        ParallelConfig::with_threads(threads_from_env())
-    }
-
-    /// An explicit thread count with default chunking.
-    pub fn with_threads(threads: usize) -> Self {
-        ParallelConfig {
-            threads,
-            chunk: PIPELINE_CHUNK,
-        }
-    }
+pub fn replay_threads() -> usize {
+    env_parallelism("OSP_REPLAY_THREADS")
 }
 
 /// One pipeline chunk: up to `chunk` arrivals copied out of the source
@@ -156,164 +128,97 @@ impl Chunk {
     }
 }
 
-/// Replays a frozen [`Instance`] through the pipelined session with
-/// `OSP_REPLAY_THREADS` threads — the intra-replay-parallel twin of
-/// [`run`](super::run). Bit-identical to it at every thread count.
-///
-/// # Errors
-///
-/// Same contract as [`run`](super::run): the first invalid decision.
-///
-/// # Examples
-///
-/// ```
-/// use osp_core::prelude::*;
-///
-/// let mut b = InstanceBuilder::new();
-/// let s = b.add_set(1.0, 1);
-/// b.add_element(1, &[s]);
-/// let inst = b.build()?;
-/// let parallel = run_parallel(&inst, &mut GreedyOnline::new(TieBreak::ByWeight))?;
-/// let serial = run(&inst, &mut GreedyOnline::new(TieBreak::ByWeight))?;
-/// assert_eq!(parallel, serial);
-/// # Ok::<(), osp_core::Error>(())
-/// ```
-pub fn run_parallel<A: OnlineAlgorithm + ?Sized>(
-    instance: &Instance,
-    algorithm: &mut A,
-) -> Result<Outcome, Error> {
-    run_source_parallel(&mut instance.source(), algorithm)
-}
-
-/// Drives `algorithm` over `source` through the pipelined session with
-/// `OSP_REPLAY_THREADS` threads — the intra-replay-parallel twin of
-/// [`run_source`](super::run_source). Bit-identical to it at every
-/// thread count: the consumer replays exactly the arrivals the producer
-/// copied, in order, through the same [`Session`] logic.
+/// The pipelined replay behind [`run_source_with`](super::run_source_with)
+/// at 2+ threads: one producer thread fills `chunk_arrivals`-arrival chunk
+/// arenas while the caller's thread consumes them through the same
+/// [`Session`](super::Session) logic as the serial loop.
 ///
 /// # Errors
 ///
 /// Same contract as [`run_source`](super::run_source): the first invalid
-/// decision.
-pub fn run_source_parallel<S, A>(source: &mut S, algorithm: &mut A) -> Result<Outcome, Error>
-where
-    S: ArrivalSource + Send + ?Sized,
-    A: OnlineAlgorithm + ?Sized,
-{
-    let mut scratch = ReplayScratch::new();
-    run_source_parallel_with(source, algorithm, &ParallelConfig::from_env(), &mut scratch)
-}
-
-/// [`run_source_parallel`] with an explicit [`ParallelConfig`] and
-/// caller-provided [`ReplayScratch`] — the seam conformance tests and the
-/// pool's composed lane ride, so any thread count can be pinned without
-/// touching the process environment.
-///
-/// `config.threads <= 1` is **exactly** the serial path: the call
-/// degenerates to [`run_source_with_scratch`] (no producer thread, no
-/// chunk copies). Otherwise one producer thread fills chunk arenas while
-/// the caller's thread consumes them, and `config.threads` is announced
-/// to the algorithm via
-/// [`OnlineAlgorithm::set_decision_threads`] so wide arrivals can shard
-/// their score fill.
-///
-/// # Errors
-///
-/// Same contract as [`run_source`](super::run_source).
-pub fn run_source_parallel_with<S, A>(
+/// decision. The producer is unblocked and joined before returning.
+pub(super) fn pipeline<S, A>(
     source: &mut S,
     algorithm: &mut A,
-    config: &ParallelConfig,
+    chunk_arrivals: usize,
     scratch: &mut ReplayScratch,
 ) -> Result<Outcome, Error>
 where
     S: ArrivalSource + Send + ?Sized,
     A: OnlineAlgorithm + ?Sized,
 {
-    algorithm.set_decision_threads(config.threads.max(1));
-    if config.threads <= 1 {
-        return run_source_with_scratch(source, algorithm, scratch);
-    }
-    let chunk_arrivals = config.chunk.max(1);
-    let mut metas = std::mem::take(&mut scratch.set_metas);
-    metas.clear();
-    metas.extend_from_slice(source.sets());
-    // Two bounded channels ping-pong the chunk arenas: `full` carries
-    // filled chunks producer → consumer, `empty` returns them. Bounded
-    // (array-backed) channels make the steady-state sends allocation-free
-    // and cap the arrivals in flight at RING × chunk.
-    let (full_tx, full_rx) = sync_channel::<Chunk>(PIPELINE_RING);
-    let (empty_tx, empty_rx) = sync_channel::<Chunk>(PIPELINE_RING);
-    for _ in 0..PIPELINE_RING {
-        empty_tx.send(Chunk::default()).expect("ring has capacity");
-    }
-    let mut session = Session::with_scratch(&metas, algorithm, scratch);
-    let producer_source = &mut *source;
-    let replay = std::thread::scope(|scope| {
-        scope.spawn(move || {
-            // Producer: recycle an empty chunk, refill it, hand it over.
-            // Ends when the source is exhausted (dropping `full_tx`
-            // signals end-of-stream) or when the consumer bailed on an
-            // invalid decision (both channel ends report disconnect).
-            while let Ok(mut chunk) = empty_rx.recv() {
-                chunk.clear();
-                let mut exhausted = false;
-                for _ in 0..chunk_arrivals {
-                    match producer_source.next_arrival() {
-                        Some(arrival) => chunk.push(&arrival),
-                        None => {
-                            exhausted = true;
-                            break;
+    let chunk_arrivals = chunk_arrivals.max(1);
+    super::replay_in(source, algorithm, scratch, |session, source, algorithm| {
+        // Two bounded channels ping-pong the chunk arenas: `full` carries
+        // filled chunks producer → consumer, `empty` returns them. Bounded
+        // (array-backed) channels make the steady-state sends
+        // allocation-free and cap the arrivals in flight at RING × chunk.
+        let (full_tx, full_rx) = sync_channel::<Chunk>(PIPELINE_RING);
+        let (empty_tx, empty_rx) = sync_channel::<Chunk>(PIPELINE_RING);
+        for _ in 0..PIPELINE_RING {
+            empty_tx.send(Chunk::default()).expect("ring has capacity");
+        }
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                // Producer: recycle an empty chunk, refill it, hand it
+                // over. Ends when the source is exhausted (dropping
+                // `full_tx` signals end-of-stream) or when the consumer
+                // bailed on an invalid decision (both channel ends report
+                // disconnect).
+                while let Ok(mut chunk) = empty_rx.recv() {
+                    chunk.clear();
+                    let mut exhausted = false;
+                    for _ in 0..chunk_arrivals {
+                        match source.next_arrival() {
+                            Some(arrival) => chunk.push(&arrival),
+                            None => {
+                                exhausted = true;
+                                break;
+                            }
                         }
                     }
+                    if !chunk.is_empty() && full_tx.send(chunk).is_err() {
+                        return;
+                    }
+                    if exhausted {
+                        return;
+                    }
                 }
-                if !chunk.is_empty() && full_tx.send(chunk).is_err() {
-                    return;
+            });
+            let consumed = (|| {
+                while let Ok(chunk) = full_rx.recv() {
+                    for arrival in chunk.arrivals() {
+                        session.step(&arrival, algorithm)?;
+                    }
+                    // A failed return just means the producer already
+                    // finished and dropped its end; keep draining
+                    // `full_rx` — the tail chunks may still be queued.
+                    let _ = empty_tx.send(chunk);
                 }
-                if exhausted {
-                    return;
-                }
-            }
-        });
-        let consumed = (|| {
-            while let Ok(chunk) = full_rx.recv() {
-                for arrival in chunk.arrivals() {
-                    session.step(&arrival, algorithm)?;
-                }
-                // A failed return just means the producer already
-                // finished and dropped its end; keep draining `full_rx` —
-                // the tail chunks may still be queued.
-                let _ = empty_tx.send(chunk);
-            }
-            Ok(())
-        })();
-        // On error the producer may still be blocked sending or waiting
-        // for an empty chunk; dropping both consumer-side endpoints
-        // disconnects it so the scope can join.
-        drop(full_rx);
-        drop(empty_tx);
-        consumed
-    });
-    let outcome = match replay {
-        Ok(()) => Ok(session.finish_into(scratch)),
-        Err(e) => Err(e),
-    };
-    scratch.set_metas = metas;
-    outcome
+                Ok(())
+            })();
+            // On error the producer may still be blocked sending or
+            // waiting for an empty chunk; dropping both consumer-side
+            // endpoints disconnects it so the scope can join.
+            drop(full_rx);
+            drop(empty_tx);
+            consumed
+        })
+    })
 }
 
 /// Fills `buf` (cleared and resized to `n`) by sharding disjoint
-/// contiguous index ranges across `threads` scoped threads — the
-/// in-place, buffer-recycling twin of
-/// [`prologue::build_table`](super::prologue::build_table), applied *per
-/// decision* instead of per run.
+/// contiguous index ranges across `threads` scoped threads — the one
+/// fan-out helper behind both the `begin` table fill and the sharded
+/// decision kernel. Recycling `buf` keeps repeated fills allocation-free
+/// once it has grown.
 ///
 /// `fill(start, slots)` must write every slot of `slots`, where
 /// `slots[j]` is entry `start + j`, as a pure function of the entry
-/// indices — which is what makes the buffer contents independent of the
-/// thread count, and therefore the subsequent (serial) selection
-/// bit-identical at any fan-out. `buf` is pre-filled with `placeholder`
-/// only so the slices exist to hand out; every slot is overwritten.
+/// indices (no shared mutable state) — which is what makes the buffer
+/// contents independent of the thread count. `buf` is pre-filled with
+/// `placeholder` only so the slices exist to hand out; every slot is
+/// overwritten.
 ///
 /// `threads <= 1` (or a range too small to split) degenerates to one
 /// `fill(0, ..)` call on the caller's thread — the serial path.
@@ -341,9 +246,9 @@ where
 mod tests {
     use super::*;
     use crate::algorithms::{GreedyOnline, RandPr, TieBreak};
-    use crate::engine::{run, run_source};
+    use crate::engine::{run, run_source, run_source_with};
     use crate::gen::{RandomInstanceConfig, UniformSource};
-    use crate::instance::InstanceBuilder;
+    use crate::instance::{Instance, InstanceBuilder};
 
     fn tiny_instance() -> Instance {
         let mut b = InstanceBuilder::new();
@@ -387,11 +292,10 @@ mod tests {
         .unwrap();
         for chunk in [1usize, 7, 60, 64, 100] {
             let mut scratch = ReplayScratch::new();
-            let config = ParallelConfig { threads: 2, chunk };
-            let got = run_source_parallel_with(
+            let got = pipeline(
                 &mut UniformSource::new(&cfg, 7).unwrap(),
                 &mut RandPr::from_seed(1),
-                &config,
+                chunk,
                 &mut scratch,
             )
             .unwrap();
@@ -403,10 +307,10 @@ mod tests {
     fn one_thread_is_the_exact_serial_path() {
         let inst = tiny_instance();
         let mut scratch = ReplayScratch::new();
-        let got = run_source_parallel_with(
+        let got = run_source_with(
             &mut inst.source(),
             &mut GreedyOnline::new(TieBreak::ByWeight),
-            &ParallelConfig::with_threads(1),
+            1,
             &mut scratch,
         )
         .unwrap();
@@ -417,7 +321,14 @@ mod tests {
     #[test]
     fn empty_source_finishes_cleanly() {
         let inst = InstanceBuilder::new().build().unwrap();
-        let out = run_parallel(&inst, &mut RandPr::from_seed(0)).unwrap();
+        let mut scratch = ReplayScratch::new();
+        let out = run_source_with(
+            &mut inst.source(),
+            &mut RandPr::from_seed(0),
+            2,
+            &mut scratch,
+        )
+        .unwrap();
         assert_eq!(out.benefit(), 0.0);
         assert!(out.decisions().is_empty());
     }
@@ -436,13 +347,10 @@ mod tests {
         }
         let inst = b.build().unwrap();
         let mut scratch = ReplayScratch::new();
-        let got = run_source_parallel_with(
+        let got = pipeline(
             &mut inst.source(),
             &mut OracleOnline::new(vec![s0, s1]),
-            &ParallelConfig {
-                threads: 2,
-                chunk: 8,
-            },
+            8,
             &mut scratch,
         );
         assert!(matches!(got, Err(Error::DecisionOverCapacity { .. })));
@@ -455,12 +363,45 @@ mod tests {
                 *slot = (start + j) as u64 * 5 + 2;
             }
         };
-        let want: Vec<u64> = (0..101u64).map(|i| i * 5 + 2).collect();
         let mut buf = Vec::new();
-        for threads in [0usize, 1, 2, 3, 8, 101, 300] {
-            fill_sharded(&mut buf, 101, 0u64, threads, &fill);
-            assert_eq!(buf, want, "threads={threads}");
+        for n in [97usize, 101] {
+            let want: Vec<u64> = (0..n as u64).map(|i| i * 5 + 2).collect();
+            for threads in [0usize, 1, 2, 3, 8, n, 300] {
+                fill_sharded(&mut buf, n, 0u64, threads, &fill);
+                assert_eq!(buf, want, "n={n} threads={threads}");
+            }
         }
+    }
+
+    #[test]
+    fn fill_sees_disjoint_contiguous_ranges() {
+        // Record the (start, len) of every range a 4-thread fill hands
+        // out; together they must tile 0..n exactly once.
+        use std::sync::Mutex;
+        let ranges = Mutex::new(Vec::new());
+        let fill = |start: usize, slots: &mut [u32]| {
+            ranges.lock().unwrap().push((start, slots.len()));
+            slots.fill(1);
+        };
+        let mut buf = Vec::new();
+        fill_sharded(&mut buf, 10, 0u32, 4, &fill);
+        assert_eq!(buf, vec![1u32; 10]);
+        let mut ranges = ranges.into_inner().unwrap();
+        ranges.sort_unstable();
+        let mut next = 0;
+        for (start, len) in ranges {
+            assert_eq!(start, next);
+            next = start + len;
+        }
+        assert_eq!(next, 10);
+    }
+
+    #[test]
+    fn empty_table_is_fine() {
+        let fill = |_: usize, slots: &mut [u8]| assert!(slots.is_empty());
+        let mut buf = vec![9u8; 5];
+        fill_sharded(&mut buf, 0, 0u8, 4, &fill);
+        assert!(buf.is_empty());
     }
 
     #[test]
@@ -478,12 +419,5 @@ mod tests {
             assert_eq!(buf.len(), n);
             assert_eq!(buf.capacity(), cap, "n={n} must not reallocate");
         }
-    }
-
-    #[test]
-    fn config_from_threads_keeps_default_chunk() {
-        let cfg = ParallelConfig::with_threads(8);
-        assert_eq!(cfg.threads, 8);
-        assert_eq!(cfg.chunk, PIPELINE_CHUNK);
     }
 }

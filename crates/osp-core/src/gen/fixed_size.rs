@@ -21,8 +21,10 @@ use super::GenError;
 ///
 /// # Errors
 ///
-/// Returns [`GenError::Infeasible`] if `k > n` or any parameter is zero
-/// or `skew` is negative/non-finite.
+/// Returns [`GenError::Infeasible`] if `k > n`, any parameter is zero,
+/// `skew` is negative/non-finite, or `skew` is so steep that under 2⁻²⁰
+/// of the popularity lies outside the `k − 1` most popular elements (the
+/// distinct-element redraws would not finish).
 pub fn fixed_size_instance<R: Rng + ?Sized>(
     m: usize,
     k: u32,
@@ -42,6 +44,14 @@ pub fn fixed_size_instance<R: Rng + ?Sized>(
     }
     Ok(b.build().expect("membership bookkeeping is consistent"))
 }
+
+/// The least share of the popularity mass that must lie outside the
+/// `k − 1` most popular elements. Each set redraws until it holds `k`
+/// distinct elements, and every draw completes the set with probability
+/// at least this share, so rejecting smaller shares bounds the expected
+/// draws per set by `k · 2²⁰`. At an extreme `skew` every popularity
+/// but the first underflows to zero and the loop would never end.
+const MIN_TAIL_MASS: f64 = 1.0 / (1u64 << 20) as f64;
 
 /// The drawing core shared by [`fixed_size_instance`] and the streaming
 /// [`FixedSizeSource`](super::FixedSizeSource): validates the parameters
@@ -72,6 +82,15 @@ pub(super) fn fixed_size_memberships<R: Rng + ?Sized>(
     // old cumulative-sum binary search cost O(log n) per draw and showed
     // up in generator-bound experiment profiles).
     let popularity: Vec<f64> = (0..n).map(|j| ((j + 1) as f64).powf(-skew)).collect();
+    let total: f64 = popularity.iter().sum();
+    let tail: f64 = popularity[k as usize - 1..].iter().sum();
+    if tail < total * MIN_TAIL_MASS {
+        return Err(GenError::Infeasible(format!(
+            "skew {skew} leaves under 2^-20 of the popularity outside the top {} elements; \
+             drawing {k} distinct elements per set would not finish",
+            k - 1
+        )));
+    }
     let table = AliasTable::new(&popularity).expect("Zipf popularities are positive and finite");
 
     // memberships[e] = sets containing element e.
@@ -138,6 +157,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         assert!(fixed_size_instance(0, 1, 1, 0.0, &mut rng).is_err());
         assert!(fixed_size_instance(1, 5, 3, 0.0, &mut rng).is_err());
+        // A skew this steep underflows every popularity but the first, so
+        // no set could ever draw 3 distinct elements.
+        assert!(matches!(
+            fixed_size_instance(14, 3, 30, 1.25e21, &mut rng),
+            Err(GenError::Infeasible(_))
+        ));
+        assert!(matches!(
+            super::super::FixedSizeSource::new(14, 3, 30, 1.25e21, 0),
+            Err(GenError::Infeasible(_))
+        ));
+        // k = 1 needs no distinct redraws, so any finite skew is fine.
+        assert!(fixed_size_instance(5, 1, 30, 1.25e21, &mut rng).is_ok());
         assert!(fixed_size_instance(1, 1, 1, -1.0, &mut rng).is_err());
         assert!(fixed_size_instance(1, 1, 1, f64::NAN, &mut rng).is_err());
     }

@@ -60,18 +60,13 @@ pub mod store;
 pub mod wire;
 
 pub use algorithm::{EngineView, OnlineAlgorithm};
-pub use engine::batch::{
-    derive_seed, env_parallelism, ReplayJob, ReplayPool, ReplayScratch, SourceJob,
-};
+pub use engine::batch::{derive_seed, env_parallelism, ReplayPool, ReplayScratch, SourceJob};
 pub use engine::dispatch::{
     derived_jobs, worker_binary, DispatchEvent, Dispatcher, EventSink, FleetHandle, FleetReport,
     LaneReport, ProcessPool, RejoinPolicy, RetryPolicy, SocketConfig, SocketPool, SpecPool,
     StderrSink,
 };
-pub use engine::{
-    run, run_parallel, run_source, run_source_parallel, run_source_with_scratch, run_with_scratch,
-    DecisionLog, Outcome, ParallelConfig, Session,
-};
+pub use engine::{run, run_source, run_source_with, DecisionLog, Outcome, Session};
 pub use error::{Error, WorkerError};
 pub use ids::{ElementId, SetId};
 pub use instance::{Arrival, Arrivals, Instance, InstanceBuilder, SetMeta};

@@ -36,7 +36,7 @@ use serde::{Deserialize, Deserializer, Error as SerdeError, Object, Serialize, S
 
 use crate::algorithms::{GreedyOnline, HashRandPr, OracleOnline, RandPr, RandomAssign, TieBreak};
 use crate::engine::batch::ReplayScratch;
-use crate::engine::{run_source_with_scratch, Outcome};
+use crate::engine::{replay_serial, Outcome};
 use crate::error::Error;
 use crate::gen::{
     BiregularSource, CapacityModel, FixedSizeSource, GenError, LoadModel, RandomInstanceConfig,
@@ -346,7 +346,7 @@ pub fn run_spec_with_scratch<R: SpecResolver + ?Sized>(
 ) -> Result<Outcome, Error> {
     let mut source = resolver.scenario(&job.scenario, job.seed)?;
     let mut algorithm = resolver.algorithm(&job.algorithm, job.seed)?;
-    run_source_with_scratch(&mut source, algorithm.as_mut(), scratch)
+    replay_serial(&mut source, algorithm.as_mut(), scratch)
 }
 
 // ---------------------------------------------------------------------------
@@ -744,6 +744,27 @@ mod tests {
         ));
         assert!(matches!(
             CoreResolver.algorithm(&AlgorithmSpec::HashRandPr { independence: 0 }, 0),
+            Err(Error::InvalidSpec(_))
+        ));
+    }
+
+    #[test]
+    fn extreme_fixed_size_skew_is_rejected_promptly() {
+        // Every popularity but the first underflows to zero at this skew,
+        // so no set could ever draw a second distinct element; a served
+        // job with this spec must fail instead of pinning a shard.
+        let job = JobSpec {
+            scenario: ScenarioSpec::FixedSize {
+                num_sets: 14,
+                set_size: 3,
+                num_elements: 30,
+                skew: 1.25e21,
+            },
+            algorithm: AlgorithmSpec::RandPr,
+            seed: 0,
+        };
+        assert!(matches!(
+            run_spec(&job, &CoreResolver),
             Err(Error::InvalidSpec(_))
         ));
     }

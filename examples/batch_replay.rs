@@ -8,10 +8,10 @@
 //! Generates one random workload, replays `randPr` under 2000 seeds three
 //! ways — sequentially, on a 1-shard pool and on an all-cores pool — and
 //! shows that all three produce bit-identical outcomes while the parallel
-//! run finishes fastest. A fourth leg replays the same trials through the
-//! pool's *streamed* lane (`run_sources`), where every shard regenerates
-//! its jobs' scenarios on the fly instead of sharing a materialized
-//! instance — same outcomes again. Shard count can be pinned with
+//! run finishes fastest. A fourth leg replays the same trials from a
+//! fused generator source, where every shard regenerates its jobs'
+//! scenarios on the fly instead of sharing a materialized instance —
+//! same outcomes again. Shard count can be pinned with
 //! `OSP_REPLAY_SHARDS=n`.
 
 use std::time::Instant;
@@ -47,20 +47,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t_seq = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
-    let one_shard = ReplayPool::new(1).run_seeds(&instance, &seeds, &factory);
+    let one_shard =
+        ReplayPool::new(1).run_seeds(&seeds, &|_| Box::new(instance.source()), &factory);
     let t_one = t.elapsed().as_secs_f64();
 
     let pool = ReplayPool::from_env();
     let t = Instant::now();
-    let parallel = pool.run_seeds(&instance, &seeds, &factory);
+    let parallel = pool.run_seeds(&seeds, &|_| Box::new(instance.source()), &factory);
     let t_par = t.elapsed().as_secs_f64();
 
-    // The streamed lane: no shared instance at all — each shard rebuilds
+    // Streamed: no shared instance at all — each shard rebuilds
     // its jobs' scenario from (config, GEN_SEED) as it replays. Sources
     // are deterministic in their construction inputs, so this too is
     // bit-identical to the sequential reference.
     let t = Instant::now();
-    let streamed = pool.run_source_seeds(
+    let streamed = pool.run_seeds(
         &seeds,
         &|_| Box::new(UniformSource::new(&config, GEN_SEED).expect("feasible config")),
         &factory,

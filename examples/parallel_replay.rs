@@ -8,9 +8,9 @@
 //! ```
 //!
 //! Defaults to 2 × 10⁶ arrivals. The replay runs three times — plain
-//! sequential `run_source`, pipelined at 1 thread (the exact serial
-//! fallback `OSP_REPLAY_THREADS=1` selects), and pipelined at 2+
-//! threads — and asserts all three outcomes equal bit-for-bit:
+//! sequential `run_source`, `run_source_with` at 1 thread (the exact
+//! serial loop `OSP_REPLAY_THREADS=1` selects), and `run_source_with`
+//! pipelined at 2+ threads — and asserts all three outcomes equal bit-for-bit:
 //! completed sets, benefit bits, the full `DecisionLog` and every
 //! `died_at`. The thread count only moves the wall clock (and on a
 //! 1-core box not even that); `tests/parallel_replay.rs` pins the same
@@ -18,10 +18,9 @@
 
 use std::time::Instant;
 
-use osp::core::engine::parallel::run_source_parallel_with;
+use osp::core::engine::parallel::replay_threads;
 use osp::core::gen::{RandomInstanceConfig, UniformSource};
 use osp::core::prelude::*;
-use osp::core::ReplayScratch;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let arrivals: usize = std::env::args()
@@ -40,26 +39,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let t_seq = t.elapsed().as_secs_f64();
 
-    // Leg 2: one thread — the pipelined entry point degenerates to the
-    // exact serial replay loop (no producer thread, no chunk ring).
+    // Leg 2: one thread — the exact serial replay loop (no producer
+    // thread, no chunk ring).
     let mut scratch = ReplayScratch::new();
     let t = Instant::now();
-    let serial_fallback = run_source_parallel_with(
+    let serial_fallback = run_source_with(
         &mut UniformSource::new(&cfg, seed)?,
         &mut RandPr::from_seed(7),
-        &ParallelConfig::with_threads(1),
+        1,
         &mut scratch,
     )?;
     let t_one = t.elapsed().as_secs_f64();
 
     // Leg 3: the pipelined session proper — generation and replay
     // overlap, chunk arenas recycle through a bounded ring.
-    let threads = osp::core::engine::parallel::threads_from_env().max(2);
+    let threads = replay_threads().max(2);
     let t = Instant::now();
-    let pipelined = run_source_parallel_with(
+    let pipelined = run_source_with(
         &mut UniformSource::new(&cfg, seed)?,
         &mut RandPr::from_seed(7),
-        &ParallelConfig::with_threads(threads),
+        threads,
         &mut scratch,
     )?;
     let t_pipe = t.elapsed().as_secs_f64();

@@ -1,5 +1,5 @@
 //! Warm-steady-state allocation lane for the **pipelined session**
-//! (`run_source_parallel_with`).
+//! (`run_source_with` at 2 threads).
 //!
 //! The serial lanes (`tests/alloc_free_replay.rs`,
 //! `tests/alloc_free_streaming.rs`) assert *zero* allocations per warm
@@ -21,7 +21,6 @@
 //! allocations into the window.
 
 use osp::core::algorithms::RandPr;
-use osp::core::engine::parallel::run_source_parallel_with;
 use osp::core::gen::{RandomInstanceConfig, UniformSource};
 use osp::core::prelude::*;
 use osp::core::ReplayScratch;
@@ -48,9 +47,8 @@ fn measured_pipelined_run(
         ..*cfg
     };
     let mut source = UniformSource::new(&cfg, 31).unwrap();
-    let config = ParallelConfig::with_threads(2);
     let before = allocations();
-    let outcome = run_source_parallel_with(&mut source, alg, &config, scratch).unwrap();
+    let outcome = run_source_with(&mut source, alg, 2, scratch).unwrap();
     let after = allocations();
     (after - before, outcome)
 }
@@ -100,10 +98,10 @@ fn main() {
     )
     .unwrap();
     let mut fresh_scratch = ReplayScratch::new();
-    let got = run_source_parallel_with(
+    let got = run_source_with(
         &mut UniformSource::new(&check_cfg, 31).unwrap(),
         &mut RandPr::from_seed(7),
-        &ParallelConfig::with_threads(2),
+        2,
         &mut fresh_scratch,
     )
     .unwrap();

@@ -17,7 +17,7 @@ use osp_core::gen::{
     RandomInstanceConfig, WeightModel,
 };
 use osp_core::{
-    derive_seed, run, Instance, OnlineAlgorithm, Outcome, ReplayJob, ReplayPool, SetId,
+    derive_seed, run, Instance, OnlineAlgorithm, Outcome, ReplayPool, SetId, SourceJob,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -132,15 +132,20 @@ fn batch_replay_is_bit_identical_to_sequential() {
                 .collect();
             for shards in SHARD_COUNTS {
                 let pool = ReplayPool::new(shards);
-                let jobs: Vec<ReplayJob<'_>> = seeds
+                let jobs: Vec<SourceJob> = seeds
                     .iter()
-                    .map(|&seed| ReplayJob {
-                        instance: &instance,
+                    .map(|&seed| SourceJob {
+                        source: 0,
                         algorithm: family,
                         seed,
                     })
                     .collect();
-                let batched = pool.run_jobs(&jobs, &|fam, s| algorithm(fam, s, &target));
+                let batched = pool.run_sources(
+                    &jobs,
+                    &|_, _| Box::new(instance.source()),
+                    &|fam, s| algorithm(fam, s, &target),
+                    1,
+                );
                 assert_eq!(batched.len(), sequential.len());
                 for (trial, (seq, bat)) in sequential.iter().zip(&batched).enumerate() {
                     let bat = bat
@@ -158,17 +163,17 @@ fn batch_replay_is_bit_identical_to_sequential() {
 #[test]
 fn mixed_worklist_is_order_stable_across_shard_counts() {
     // One big heterogeneous work-list — every instance crossed with the
-    // seed-driven families — replayed through a SINGLE run_jobs call per
+    // seed-driven families — replayed through a SINGLE run_sources call per
     // shard count. Results must land in job order and agree with the
     // sequential reference job-for-job. (The oracle family needs per-
     // instance context and is covered by the per-family test above.)
     let grid = instance_grid();
     let mut jobs = Vec::new();
-    for (gi, (_, instance)) in grid.iter().enumerate() {
+    for gi in 0..grid.len() {
         for family in 0..4 {
             for trial in 0..3u64 {
-                jobs.push(ReplayJob {
-                    instance,
+                jobs.push(SourceJob {
+                    source: gi,
                     algorithm: family,
                     seed: derive_seed(1000 + gi as u64, trial),
                 });
@@ -179,10 +184,21 @@ fn mixed_worklist_is_order_stable_across_shard_counts() {
         |family: usize, seed: u64| -> Box<dyn OnlineAlgorithm> { algorithm(family, seed, &[]) };
     let reference: Vec<Outcome> = jobs
         .iter()
-        .map(|job| run(job.instance, factory(job.algorithm, job.seed).as_mut()).unwrap())
+        .map(|job| {
+            run(
+                &grid[job.source].1,
+                factory(job.algorithm, job.seed).as_mut(),
+            )
+            .unwrap()
+        })
         .collect();
     for shards in SHARD_COUNTS {
-        let batched = ReplayPool::new(shards).run_jobs(&jobs, &factory);
+        let batched = ReplayPool::new(shards).run_sources(
+            &jobs,
+            &|i, _| Box::new(grid[i].1.source()),
+            &factory,
+            1,
+        );
         assert_eq!(batched.len(), reference.len());
         for (i, (seq, bat)) in reference.iter().zip(&batched).enumerate() {
             assert_eq!(
@@ -301,8 +317,9 @@ fn lazy_hash_pr_matches_eager_on_the_grid() {
 fn empty_instance_and_single_job_edge_cases() {
     let empty = osp_core::InstanceBuilder::new().build().unwrap();
     for shards in SHARD_COUNTS {
-        let out =
-            ReplayPool::new(shards).run_seeds(&empty, &[7], &|s| Box::new(RandPr::from_seed(s)));
+        let out = ReplayPool::new(shards).run_seeds(&[7], &|_| Box::new(empty.source()), &|s| {
+            Box::new(RandPr::from_seed(s))
+        });
         assert_eq!(out.len(), 1);
         assert!(out[0].completed().is_empty());
         assert_eq!(out[0].benefit(), 0.0);

@@ -131,7 +131,9 @@ fn golden_outcomes_are_stable() {
         );
 
         // The batch path must reproduce the same golden.
-        let batched = pool.run_seeds(&instance, &[g.alg_seed], &|s| build_algorithm(g.alg, s));
+        let batched = pool.run_seeds(&[g.alg_seed], &|_| Box::new(instance.source()), &|s| {
+            build_algorithm(g.alg, s)
+        });
         assert_eq!(batched[0], sequential, "{label}: batch diverged");
     }
 }

@@ -6,7 +6,7 @@
 //! reordering arrivals, a sharded score fill perturbing the selection
 //! order, a thread count leaking into decisions. This suite pins the
 //! contract: for every built-in algorithm over the generator-model grid,
-//! [`run_source_parallel`] outcomes are **bit-identical** to sequential
+//! [`run_source_with`] outcomes are **bit-identical** to sequential
 //! [`run`] — completed sets, benefit, per-arrival decisions and
 //! `died_at` — at thread counts 1, 2 and 8, and the sharded decision
 //! kernel agrees with serial scoring on arrivals wide enough to
@@ -16,14 +16,14 @@ use osp_core::algorithms::{
     GreedyOnline, HashRandPr, OracleOnline, RandPr, RandomAssign, TieBreak,
 };
 use osp_core::engine::batch::SourceJob;
-use osp_core::engine::parallel::{run_source_parallel_with, SHARDED_DECIDE_MIN};
+use osp_core::engine::parallel::{replay_threads, SHARDED_DECIDE_MIN};
 use osp_core::gen::{
     biregular_instance, fixed_size_instance, random_instance, BiregularSource, CapacityModel,
     FixedSizeSource, LoadModel, RandomInstanceConfig, UniformSource, WeightModel,
 };
 use osp_core::source::ArrivalSource;
 use osp_core::{
-    derive_seed, run, run_source, Instance, OnlineAlgorithm, Outcome, ParallelConfig, ReplayPool,
+    derive_seed, run, run_source, run_source_with, Instance, OnlineAlgorithm, Outcome, ReplayPool,
     ReplayScratch, SetId,
 };
 use rand::rngs::StdRng;
@@ -31,6 +31,23 @@ use rand::SeedableRng;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const TRIALS: u64 = 6;
+
+/// Arrivals per pipeline chunk (the pipeline's private staging size).
+const PIPELINE_CHUNK: usize = 1024;
+
+/// Stream length for the pipelined suites: three full chunk hand-offs
+/// plus a partial tail chunk.
+const ARRIVALS: usize = 3 * PIPELINE_CHUNK + 328;
+
+/// Asserts a replayed stream crossed at least three chunk boundaries and
+/// ended on a partial chunk, so the chunk hand-off and tail paths ran.
+fn assert_crosses_chunks(label: &str, outcome: &Outcome) {
+    let n = outcome.decisions().len();
+    assert!(
+        n > 3 * PIPELINE_CHUNK && !n.is_multiple_of(PIPELINE_CHUNK),
+        "{label}: {n} arrivals do not cross three chunks plus a partial tail"
+    );
+}
 
 /// A named, seeded constructor for a boxed streamed source.
 type SourceBuilder = (
@@ -44,14 +61,19 @@ type SeededAlgorithm = (&'static str, Box<dyn Fn(u64) -> Box<dyn OnlineAlgorithm
 /// A named constructor for a boxed algorithm with a fixed seed.
 type FixedAlgorithm = (&'static str, Box<dyn Fn() -> Box<dyn OnlineAlgorithm>>);
 
-/// The generator-model grid (same models as `tests/batch_equivalence.rs`).
+/// The generator-model grid (same models as `tests/batch_equivalence.rs`,
+/// scaled so every stream crosses several pipeline chunks).
 fn instance_grid() -> Vec<(&'static str, Instance)> {
     let mut grid = Vec::new();
 
     let mut rng = StdRng::seed_from_u64(11);
     grid.push((
-        "uniform unweighted (m=30, n=80, σ=4)",
-        random_instance(&RandomInstanceConfig::unweighted(30, 80, 4), &mut rng).unwrap(),
+        "uniform unweighted (m=1200, σ=4)",
+        random_instance(
+            &RandomInstanceConfig::unweighted(1200, ARRIVALS, 4),
+            &mut rng,
+        )
+        .unwrap(),
     ));
 
     let mut rng = StdRng::seed_from_u64(12);
@@ -59,8 +81,8 @@ fn instance_grid() -> Vec<(&'static str, Instance)> {
         "zipf weights, variable loads and capacities",
         random_instance(
             &RandomInstanceConfig {
-                num_sets: 40,
-                num_elements: 100,
+                num_sets: 1500,
+                num_elements: ARRIVALS,
                 load: LoadModel::Uniform { lo: 1, hi: 6 },
                 weights: WeightModel::Zipf { exponent: 1.0 },
                 capacities: CapacityModel::Uniform { lo: 1, hi: 3 },
@@ -72,14 +94,14 @@ fn instance_grid() -> Vec<(&'static str, Instance)> {
 
     let mut rng = StdRng::seed_from_u64(13);
     grid.push((
-        "bi-regular (m=24, k=3, σ=6)",
-        biregular_instance(24, 3, 6, &mut rng).unwrap(),
+        "bi-regular (m=6800, k=3, σ=6)",
+        biregular_instance(6800, 3, 6, &mut rng).unwrap(),
     ));
 
     let mut rng = StdRng::seed_from_u64(14);
     grid.push((
-        "fixed size, skewed loads (m=40, k=4, skew=1.2)",
-        fixed_size_instance(40, 4, 90, 1.2, &mut rng).unwrap(),
+        "fixed size, skewed loads (m=3000, k=4, skew=0.8)",
+        fixed_size_instance(3000, 4, 6000, 0.8, &mut rng).unwrap(),
     ));
 
     grid
@@ -146,15 +168,13 @@ fn parallel_replay_is_bit_identical_to_sequential_run() {
             for trial in 0..TRIALS {
                 let seed = derive_seed(family as u64, trial);
                 let sequential = run(&instance, algorithm(family, seed, &target).as_mut()).unwrap();
+                assert_crosses_chunks(model, &sequential);
                 for threads in THREAD_COUNTS {
                     let mut scratch = ReplayScratch::new();
-                    // A small chunk forces several chunk hand-offs even on
-                    // these ~100-arrival streams.
-                    let config = ParallelConfig { threads, chunk: 16 };
-                    let parallel = run_source_parallel_with(
+                    let parallel = run_source_with(
                         &mut instance.source(),
                         algorithm(family, seed, &target).as_mut(),
-                        &config,
+                        threads,
                         &mut scratch,
                     )
                     .unwrap();
@@ -171,10 +191,10 @@ fn parallel_replay_is_bit_identical_to_sequential_run() {
 fn pipelined_streamed_sources_match_sequential_run_source() {
     // The fused generator sources (the pipeline's raison d'être) at every
     // thread count, including lazy hashPr whose scoring rides eval_batch.
-    let uniform_cfg = RandomInstanceConfig::unweighted(50, 400, 4);
+    let uniform_cfg = RandomInstanceConfig::unweighted(1200, ARRIVALS, 4);
     let zipf_cfg = RandomInstanceConfig {
-        num_sets: 40,
-        num_elements: 300,
+        num_sets: 1500,
+        num_elements: ARRIVALS,
         load: LoadModel::Uniform { lo: 1, hi: 6 },
         weights: WeightModel::Zipf { exponent: 1.0 },
         capacities: CapacityModel::Uniform { lo: 1, hi: 3 },
@@ -190,11 +210,11 @@ fn pipelined_streamed_sources_match_sequential_run_source() {
         ),
         (
             "bi-regular",
-            Box::new(|seed| Box::new(BiregularSource::new(36, 3, 6, seed).unwrap())),
+            Box::new(|seed| Box::new(BiregularSource::new(6800, 3, 6, seed).unwrap())),
         ),
         (
             "fixed-size",
-            Box::new(|seed| Box::new(FixedSizeSource::new(48, 4, 200, 1.2, seed).unwrap())),
+            Box::new(|seed| Box::new(FixedSizeSource::new(3000, 4, 6000, 0.8, seed).unwrap())),
         ),
     ];
     let algorithms: Vec<SeededAlgorithm> = vec![
@@ -217,16 +237,12 @@ fn pipelined_streamed_sources_match_sequential_run_source() {
         for (alg_name, alg) in &algorithms {
             let seed = derive_seed(77, 0);
             let sequential = run_source(&mut source(seed), alg(seed).as_mut()).unwrap();
+            assert_crosses_chunks(source_name, &sequential);
             for threads in THREAD_COUNTS {
                 let mut scratch = ReplayScratch::new();
-                let config = ParallelConfig { threads, chunk: 64 };
-                let parallel = run_source_parallel_with(
-                    &mut source(seed),
-                    alg(seed).as_mut(),
-                    &config,
-                    &mut scratch,
-                )
-                .unwrap();
+                let parallel =
+                    run_source_with(&mut source(seed), alg(seed).as_mut(), threads, &mut scratch)
+                        .unwrap();
                 assert_eq!(
                     sequential, parallel,
                     "{source_name} / {alg_name} / {threads} threads diverged"
@@ -279,13 +295,8 @@ fn sharded_decision_kernel_matches_serial_on_wide_arrivals() {
         let sequential = run(&inst, alg().as_mut()).unwrap();
         for threads in THREAD_COUNTS {
             let mut scratch = ReplayScratch::new();
-            let parallel = run_source_parallel_with(
-                &mut inst.source(),
-                alg().as_mut(),
-                &ParallelConfig::with_threads(threads),
-                &mut scratch,
-            )
-            .unwrap();
+            let parallel =
+                run_source_with(&mut inst.source(), alg().as_mut(), threads, &mut scratch).unwrap();
             assert_outcomes_identical(
                 &format!("wide star / {alg_name} / {threads} threads"),
                 &sequential,
@@ -298,9 +309,9 @@ fn sharded_decision_kernel_matches_serial_on_wide_arrivals() {
 
 #[test]
 fn batch_and_intra_replay_parallelism_compose() {
-    // The pool's pipelined lane: OSP_REPLAY_SHARDS-style job fan-out ×
+    // The pool's source lane: OSP_REPLAY_SHARDS-style job fan-out ×
     // per-job pipeline threads, against plain sequential run_source.
-    let cfg = RandomInstanceConfig::unweighted(30, 200, 4);
+    let cfg = RandomInstanceConfig::unweighted(1200, ARRIVALS, 4);
     let jobs: Vec<SourceJob> = (0..10)
         .map(|i| SourceJob {
             source: 0,
@@ -318,13 +329,14 @@ fn batch_and_intra_replay_parallelism_compose() {
             .unwrap()
         })
         .collect();
+    assert_crosses_chunks("uniform", &reference[0]);
     for shards in [1usize, 2, 4] {
         for threads in THREAD_COUNTS {
-            let got = ReplayPool::new(shards).run_sources_pipelined(
+            let got = ReplayPool::new(shards).run_sources(
                 &jobs,
                 &|_, seed| Box::new(UniformSource::new(&cfg, seed).unwrap()),
                 &|_, seed| Box::new(RandPr::from_seed(seed)),
-                &ParallelConfig { threads, chunk: 32 },
+                threads,
             );
             assert_eq!(got.len(), reference.len());
             for (i, (want, got)) in reference.iter().zip(&got).enumerate() {
@@ -339,16 +351,20 @@ fn batch_and_intra_replay_parallelism_compose() {
 }
 
 #[test]
-fn run_parallel_and_run_source_parallel_agree_with_run() {
-    // The env-driven entry points themselves (whatever OSP_REPLAY_THREADS
+fn run_source_with_at_the_env_thread_count_agrees_with_run() {
+    // The env-driven thread count itself (whatever OSP_REPLAY_THREADS
     // happens to be in this test process — the policy maps every value,
     // including unset, to some thread count, and all of them must be
     // bit-identical).
     let (_, instance) = instance_grid().swap_remove(1);
     let want = run(&instance, &mut RandPr::from_seed(9)).unwrap();
-    let via_instance = osp_core::run_parallel(&instance, &mut RandPr::from_seed(9)).unwrap();
-    assert_eq!(want, via_instance);
-    let via_source =
-        osp_core::run_source_parallel(&mut instance.source(), &mut RandPr::from_seed(9)).unwrap();
-    assert_eq!(want, via_source);
+    let mut scratch = ReplayScratch::new();
+    let via_env = run_source_with(
+        &mut instance.source(),
+        &mut RandPr::from_seed(9),
+        replay_threads(),
+        &mut scratch,
+    )
+    .unwrap();
+    assert_eq!(want, via_env);
 }

@@ -179,7 +179,7 @@ fn pool_run_sources_is_shard_count_invariant() {
     // sequential reference is run_source on identically-built jobs; the
     // pool must match it bit-for-bit at every shard count.
     let uniform = uniform_cfg();
-    let source_factory = move |selector: usize, seed: u64| -> Box<dyn ArrivalSource> {
+    let source_factory = move |selector: usize, seed: u64| -> Box<dyn ArrivalSource + Send> {
         match selector {
             0 => Box::new(UniformSource::new(&uniform, seed).unwrap()),
             1 => Box::new(BiregularSource::new(24, 3, 6, seed).unwrap()),
@@ -208,7 +208,7 @@ fn pool_run_sources_is_shard_count_invariant() {
         })
         .collect();
     for shards in SHARD_COUNTS {
-        let pooled = ReplayPool::new(shards).run_sources(&jobs, &source_factory, &alg_factory);
+        let pooled = ReplayPool::new(shards).run_sources(&jobs, &source_factory, &alg_factory, 1);
         assert_eq!(pooled.len(), reference.len());
         for (i, (want, got)) in reference.iter().zip(&pooled).enumerate() {
             let got = got.as_ref().unwrap_or_else(|e| panic!("job {i}: {e}"));
@@ -218,17 +218,19 @@ fn pool_run_sources_is_shard_count_invariant() {
 }
 
 #[test]
-fn pool_run_source_seeds_matches_materialized_run_seeds() {
-    // The two convenience lanes agree: run_seeds over the materialized
-    // instance vs run_source_seeds over fused sources of the same
-    // generator seed.
+fn pool_run_seeds_agrees_on_materialized_and_fused_sources() {
+    // The convenience lane agrees with itself across source kinds:
+    // run_seeds over the materialized instance vs over fused sources of
+    // the same generator seed.
     let cfg = uniform_cfg();
     let gen_seed = 42u64;
     let instance = random_instance(&cfg, &mut StdRng::seed_from_u64(gen_seed)).unwrap();
     let seeds: Vec<u64> = (0..12).map(|i| derive_seed(7, i)).collect();
     let pool = ReplayPool::new(4);
-    let materialized = pool.run_seeds(&instance, &seeds, &|s| Box::new(RandPr::from_seed(s)));
-    let streamed = pool.run_source_seeds(
+    let materialized = pool.run_seeds(&seeds, &|_| Box::new(instance.source()), &|s| {
+        Box::new(RandPr::from_seed(s))
+    });
+    let streamed = pool.run_seeds(
         &seeds,
         &|_| Box::new(UniformSource::new(&cfg, gen_seed).unwrap()),
         &|s| Box::new(RandPr::from_seed(s)),
