@@ -363,13 +363,27 @@ mod tests {
                 *slot = (start + j) as u64 * 5 + 2;
             }
         };
+        let want: Vec<u64> = (0..101u64).map(|i| i * 5 + 2).collect();
         let mut buf = Vec::new();
-        for n in [97usize, 101] {
-            let want: Vec<u64> = (0..n as u64).map(|i| i * 5 + 2).collect();
-            for threads in [0usize, 1, 2, 3, 8, n, 300] {
-                fill_sharded(&mut buf, n, 0u64, threads, &fill);
-                assert_eq!(buf, want, "n={n} threads={threads}");
+        for threads in [0usize, 1, 2, 3, 8, 101, 300] {
+            fill_sharded(&mut buf, 101, 0u64, threads, &fill);
+            assert_eq!(buf, want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn every_slot_is_filled_at_any_thread_count() {
+        // A fresh buffer each time, as a begin-table build starts from.
+        let fill = |start: usize, slots: &mut [u64]| {
+            for (j, slot) in slots.iter_mut().enumerate() {
+                *slot = (start + j) as u64 * 3 + 1;
             }
+        };
+        let want: Vec<u64> = (0..97u64).map(|i| i * 3 + 1).collect();
+        for threads in [0usize, 1, 2, 3, 8, 97, 200] {
+            let mut buf = Vec::new();
+            fill_sharded(&mut buf, 97, 0u64, threads, &fill);
+            assert_eq!(buf, want, "threads={threads}");
         }
     }
 
