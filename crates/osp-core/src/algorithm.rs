@@ -17,6 +17,7 @@
 //! of a shard). The allocating [`decide`](OnlineAlgorithm::decide) is a
 //! default-implemented convenience shim for external callers.
 
+use crate::engine::SetState;
 use crate::instance::{Arrival, SetMeta};
 use crate::SetId;
 
@@ -24,17 +25,12 @@ use crate::SetId;
 #[derive(Debug, Clone, Copy)]
 pub struct EngineView<'a> {
     sets: &'a [SetMeta],
-    assigned: &'a [u32],
-    alive: &'a [bool],
+    state: &'a [SetState],
 }
 
 impl<'a> EngineView<'a> {
-    pub(crate) fn new(sets: &'a [SetMeta], assigned: &'a [u32], alive: &'a [bool]) -> Self {
-        EngineView {
-            sets,
-            assigned,
-            alive,
-        }
+    pub(crate) fn new(sets: &'a [SetMeta], state: &'a [SetState]) -> Self {
+        EngineView { sets, state }
     }
 
     /// Metadata of a set.
@@ -44,19 +40,19 @@ impl<'a> EngineView<'a> {
 
     /// How many of its elements have been assigned to `id` so far.
     pub fn assigned(&self, id: SetId) -> u32 {
-        self.assigned[id.index()]
+        self.state[id.index()].assigned
     }
 
     /// Whether `id` is still completable: every one of its elements so far
     /// was assigned to it ("active" in the paper's terminology).
     pub fn is_active(&self, id: SetId) -> bool {
-        self.alive[id.index()]
+        self.state[id.index()].died_at.is_none()
     }
 
     /// Elements of `id` still to arrive (size minus assigned); meaningful
     /// only while the set is active.
     pub fn remaining(&self, id: SetId) -> u32 {
-        self.sets[id.index()].size() - self.assigned[id.index()]
+        self.sets[id.index()].size() - self.state[id.index()].assigned
     }
 }
 

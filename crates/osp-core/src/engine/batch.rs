@@ -24,27 +24,25 @@
 
 use crate::algorithm::OnlineAlgorithm;
 use crate::error::Error;
-use crate::ids::ElementId;
 use crate::instance::SetMeta;
 use crate::source::ArrivalSource;
 use crate::spec::{run_spec_with_scratch, JobSpec, SpecResolver};
 
-use super::{run_source_with, DecisionLog, Outcome};
+use super::{run_source_with, DecisionLog, Outcome, SetState};
 
 /// Reusable engine buffers for one replay shard.
 ///
-/// Holds the per-set bookkeeping (`assigned`, `alive`, `died_at`), the
-/// in-flight [`DecisionLog`] arena, the algorithm's decision buffer and the
-/// decision validation scratch;
+/// Holds the per-set bookkeeping (one record per set: its assigned count
+/// and the element it died at, if any), the in-flight [`DecisionLog`]
+/// arena, the algorithm's decision buffer and the decision validation
+/// scratch;
 /// [`Session::with_scratch`](super::Session::with_scratch) borrows them for
 /// a run and [`Session::finish_into`](super::Session::finish_into) hands
 /// them back. With every per-arrival buffer recycled here, a warm shard
 /// performs zero heap allocations per arrival.
 #[derive(Debug, Default)]
 pub struct ReplayScratch {
-    pub(super) assigned: Vec<u32>,
-    pub(super) alive: Vec<bool>,
-    pub(super) died_at: Vec<Option<ElementId>>,
+    pub(super) state: Vec<SetState>,
     pub(super) decisions: DecisionLog,
     pub(super) decision_buf: Vec<crate::SetId>,
     pub(super) sorted: Vec<crate::SetId>,

@@ -90,10 +90,13 @@
 //!
 //! The per-arrival hot path is allocation-free: algorithms write decisions
 //! into a recycled buffer ([`OnlineAlgorithm::decide_into`]), the engine
-//! validates in another recycled buffer, and the decision log accumulates
-//! in two flat CSR vectors — all handed from job to job via
-//! [`batch::ReplayScratch`], so a warm shard performs zero heap
-//! allocations per arrival.
+//! validates a multi-set decision in another recycled buffer, and the
+//! decision log accumulates in two flat CSR vectors — all handed from job
+//! to job via [`batch::ReplayScratch`], so a warm shard performs zero heap
+//! allocations per arrival. Each set's state is one 12-byte record
+//! (assigned count and death element), and validation and apply are one
+//! forward walk over the arrival's sorted member list each, so a step
+//! touches one record per member set.
 
 pub mod batch;
 pub mod dispatch;
@@ -106,6 +109,21 @@ use crate::instance::{Arrival, Instance, SetMeta};
 use crate::source::ArrivalSource;
 
 pub use batch::{derive_seed, ReplayPool, ReplayScratch};
+
+/// One set's bookkeeping during a replay, packed into one 12-byte record
+/// so an arrival reads and writes one place per member set instead of
+/// three parallel arrays: how many of its elements the set has received,
+/// and the element at which it died (its first element *not* assigned to
+/// it). A set is alive ("active", §2)
+/// while `died_at` is `None`. No sentinel value stands in for "alive":
+/// a [`Session`] accepts any [`ElementId`], `u32::MAX` included.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SetState {
+    pub(crate) assigned: u32,
+    pub(crate) died_at: Option<ElementId>,
+}
+
+const _: () = assert!(std::mem::size_of::<SetState>() == 12);
 
 /// A flat record of every decision of a run: one CSR arena (offsets +
 /// data) instead of a `Vec<SetId>` per arrival, so logging a decision is
@@ -387,6 +405,10 @@ impl serde::Deserialize for Outcome {
 /// An incremental online run: feed arrivals one at a time, inspect the
 /// algorithm's choices between them.
 ///
+/// The session keeps one record per set — the number of elements it has
+/// received and the element at which it died, if it has — in a single
+/// `Vec`, so each arrival reads and writes one record per member set.
+///
 /// # Examples
 ///
 /// ```
@@ -402,14 +424,14 @@ impl serde::Deserialize for Outcome {
 #[derive(Debug)]
 pub struct Session<'a> {
     sets: &'a [SetMeta],
-    assigned: Vec<u32>,
-    alive: Vec<bool>,
-    died_at: Vec<Option<ElementId>>,
+    /// Per-set bookkeeping, indexed by set id.
+    state: Vec<SetState>,
     decisions: DecisionLog,
     /// The algorithm's decision target, reused across arrivals.
     decision_buf: Vec<SetId>,
-    /// Validation scratch reused across arrivals (sorted decision copy),
-    /// so the per-arrival hot path allocates nothing of its own.
+    /// Validation scratch reused across arrivals: the sorted copy of a
+    /// decision of two or more sets, so the per-arrival hot path
+    /// allocates nothing of its own.
     sorted: Vec<SetId>,
 }
 
@@ -431,16 +453,9 @@ impl<'a> Session<'a> {
         scratch: &mut ReplayScratch,
     ) -> Self {
         algorithm.begin(sets);
-        let m = sets.len();
-        let mut assigned = std::mem::take(&mut scratch.assigned);
-        assigned.clear();
-        assigned.resize(m, 0);
-        let mut alive = std::mem::take(&mut scratch.alive);
-        alive.clear();
-        alive.resize(m, true);
-        let mut died_at = std::mem::take(&mut scratch.died_at);
-        died_at.clear();
-        died_at.resize(m, None);
+        let mut state = std::mem::take(&mut scratch.state);
+        state.clear();
+        state.resize(sets.len(), SetState::default());
         let mut decisions = std::mem::take(&mut scratch.decisions);
         decisions.clear();
         let mut decision_buf = std::mem::take(&mut scratch.decision_buf);
@@ -449,9 +464,7 @@ impl<'a> Session<'a> {
         sorted.clear();
         Session {
             sets,
-            assigned,
-            alive,
-            died_at,
+            state,
             decisions,
             decision_buf,
             sorted,
@@ -465,26 +478,26 @@ impl<'a> Session<'a> {
 
     /// Whether `set` is still completable (chosen for every element so far).
     pub fn is_active(&self, set: SetId) -> bool {
-        self.alive[set.index()]
+        self.state[set.index()].died_at.is_none()
     }
 
     /// How many elements have been assigned to `set`.
     pub fn assigned(&self, set: SetId) -> u32 {
-        self.assigned[set.index()]
+        self.state[set.index()].assigned
     }
 
     /// Number of currently active sets.
     pub fn active_count(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
+        self.state.iter().filter(|s| s.died_at.is_none()).count()
     }
 
     /// Iterates the ids of all currently active sets, ascending, without
     /// materializing them.
     pub fn active_sets_iter(&self) -> impl Iterator<Item = SetId> + '_ {
-        self.alive
+        self.state
             .iter()
             .enumerate()
-            .filter_map(|(i, &alive)| alive.then_some(SetId(i as u32)))
+            .filter_map(|(i, s)| s.died_at.is_none().then_some(SetId(i as u32)))
     }
 
     /// The ids of all currently active sets, ascending. Prefer
@@ -501,7 +514,7 @@ impl<'a> Session<'a> {
     /// remote replica in a distributed setup) and applied via
     /// [`apply_external`](Self::apply_external).
     pub fn view(&self) -> EngineView<'_> {
-        EngineView::new(self.sets, &self.assigned, &self.alive)
+        EngineView::new(self.sets, &self.state)
     }
 
     /// Offers the next arrival to the algorithm, validates its decision,
@@ -546,7 +559,7 @@ impl<'a> Session<'a> {
         let mut buf = std::mem::take(&mut self.decision_buf);
         buf.clear();
         {
-            let view = EngineView::new(self.sets, &self.assigned, &self.alive);
+            let view = EngineView::new(self.sets, &self.state);
             algorithm.decide_into(arrival, &view, &mut buf);
         }
         let verdict = self.validate(arrival, &buf);
@@ -596,8 +609,12 @@ impl<'a> Session<'a> {
         Ok(decision)
     }
 
-    /// Checks the model's rules without touching session state. On success
-    /// `self.sorted` holds the decision sorted ascending.
+    /// Checks the model's rules without touching session state. A
+    /// decision of two or more sets is copied into `self.sorted`, sorted
+    /// and checked for duplicates; then one forward walk over the
+    /// ascending member list checks membership. Errors keep their
+    /// precedence: over capacity, then the lowest duplicate, then the
+    /// lowest non-member.
     fn validate(&mut self, arrival: &Arrival<'_>, decision: &[SetId]) -> Result<(), Error> {
         if decision.len() > arrival.capacity() as usize {
             return Err(Error::DecisionOverCapacity {
@@ -606,38 +623,57 @@ impl<'a> Session<'a> {
                 chosen: decision.len(),
             });
         }
-        self.sorted.clear();
-        self.sorted.extend_from_slice(decision);
-        self.sorted.sort_unstable();
-        for w in self.sorted.windows(2) {
-            if w[0] == w[1] {
+        if decision.len() > 1 {
+            self.sorted.clear();
+            self.sorted.extend_from_slice(decision);
+            self.sorted.sort_unstable();
+            if let Some(w) = self.sorted.windows(2).find(|w| w[0] == w[1]) {
                 return Err(Error::DecisionDuplicate {
                     element: arrival.element(),
                     set: w[0],
                 });
             }
         }
-        for &s in &self.sorted {
-            if !arrival.contains(s) {
+        let chosen = if decision.len() > 1 {
+            &self.sorted[..]
+        } else {
+            decision
+        };
+        let members = arrival.members();
+        let mut i = 0;
+        for &s in chosen {
+            while i < members.len() && members[i] < s {
+                i += 1;
+            }
+            if members.get(i) != Some(&s) {
                 return Err(Error::DecisionNotMember {
                     element: arrival.element(),
                     set: s,
                 });
             }
+            i += 1;
         }
         Ok(())
     }
 
     /// Applies a decision that [`validate`](Self::validate) just accepted
-    /// (`self.sorted` still holds its sorted copy).
+    /// (`self.sorted` still holds the sorted copy of a multi-set
+    /// decision) in one forward walk over the members: chosen member sets
+    /// advance, unchosen ones die.
     fn apply_validated(&mut self, arrival: &Arrival<'_>, decision: &[SetId]) {
-        // Apply: chosen member sets advance; unchosen member sets die.
+        let chosen = if decision.len() > 1 {
+            &self.sorted[..]
+        } else {
+            decision
+        };
+        let mut next = 0;
         for &s in arrival.members() {
-            if self.sorted.binary_search(&s).is_ok() {
-                self.assigned[s.index()] += 1;
-            } else if self.alive[s.index()] {
-                self.alive[s.index()] = false;
-                self.died_at[s.index()] = Some(arrival.element());
+            let state = &mut self.state[s.index()];
+            if chosen.get(next) == Some(&s) {
+                state.assigned += 1;
+                next += 1;
+            } else if state.died_at.is_none() {
+                state.died_at = Some(arrival.element());
             }
         }
         self.decisions.push(decision);
@@ -660,27 +696,29 @@ impl<'a> Session<'a> {
     }
 
     fn finish_impl(mut self, scratch: Option<&mut ReplayScratch>) -> Outcome {
-        let completed: Vec<SetId> = (0..self.sets.len())
-            .filter(|&i| self.alive[i] && self.assigned[i] == self.sets[i].size())
-            .map(|i| SetId(i as u32))
+        let completed: Vec<SetId> = self
+            .state
+            .iter()
+            .zip(self.sets)
+            .enumerate()
+            .filter(|(_, (state, meta))| state.died_at.is_none() && state.assigned == meta.size())
+            .map(|(i, _)| SetId(i as u32))
             .collect();
         let benefit = completed
             .iter()
             .map(|&s| self.sets[s.index()].weight())
             .sum();
-        let (decisions, died_at) = match scratch {
+        let died_at = self.state.iter().map(|s| s.died_at).collect();
+        let decisions = match scratch {
             Some(scratch) => {
                 let decisions = self.decisions.snapshot();
-                let died_at = self.died_at.as_slice().to_vec();
-                scratch.assigned = std::mem::take(&mut self.assigned);
-                scratch.alive = std::mem::take(&mut self.alive);
-                scratch.died_at = std::mem::take(&mut self.died_at);
+                scratch.state = std::mem::take(&mut self.state);
                 scratch.decisions = std::mem::take(&mut self.decisions);
                 scratch.decision_buf = std::mem::take(&mut self.decision_buf);
                 scratch.sorted = std::mem::take(&mut self.sorted);
-                (decisions, died_at)
+                decisions
             }
-            None => (self.decisions, self.died_at),
+            None => self.decisions,
         };
         Outcome {
             completed,
@@ -1141,6 +1179,136 @@ mod tests {
         .unwrap();
         assert_eq!(fresh, reused);
         assert_eq!(reused.decisions().len(), 3);
+    }
+
+    #[test]
+    fn death_at_the_largest_element_id_is_recorded() {
+        // `ElementId(u32::MAX)` is a legal arrival; the per-set record
+        // must tell "died at u32::MAX" apart from "alive".
+        let metas = vec![SetMeta::new(1.0, 1), SetMeta::new(1.0, 1)];
+        let mut alg = Scripted::new(vec![vec![SetId(0)]]);
+        let mut session = Session::new(&metas, &mut alg);
+        let last = ElementId(u32::MAX);
+        let arrival = Arrival::new(last, 1, &[SetId(0), SetId(1)]);
+        session.offer(&arrival, &mut alg).unwrap();
+        assert!(!session.is_active(SetId(1)));
+        assert!(!session.view().is_active(SetId(1)));
+        assert!(session.is_active(SetId(0)));
+        let out = session.finish();
+        assert_eq!(out.died_at(SetId(1)), Some(last));
+        assert_eq!(out.died_at(SetId(0)), None);
+        assert_eq!(out.completed(), &[SetId(0)]);
+    }
+
+    /// The per-set state as first kept: three parallel vectors.
+    #[derive(Debug)]
+    struct OracleState {
+        assigned: Vec<u32>,
+        alive: Vec<bool>,
+        died_at: Vec<Option<ElementId>>,
+    }
+
+    /// The validator and apply step as first written — sort a copy of the
+    /// decision, reject its first adjacent duplicate, binary-search each
+    /// chosen set in the members, then binary-search each member in the
+    /// sorted choice. Kept as the oracle for the merge-walk
+    /// `validate`/`apply_validated`.
+    fn oracle_step(
+        state: &mut OracleState,
+        arrival: &Arrival<'_>,
+        decision: &[SetId],
+    ) -> Result<(), Error> {
+        if decision.len() > arrival.capacity() as usize {
+            return Err(Error::DecisionOverCapacity {
+                element: arrival.element(),
+                capacity: arrival.capacity(),
+                chosen: decision.len(),
+            });
+        }
+        let mut sorted = decision.to_vec();
+        sorted.sort_unstable();
+        for w in sorted.windows(2) {
+            if w[0] == w[1] {
+                return Err(Error::DecisionDuplicate {
+                    element: arrival.element(),
+                    set: w[0],
+                });
+            }
+        }
+        for &s in &sorted {
+            if !arrival.contains(s) {
+                return Err(Error::DecisionNotMember {
+                    element: arrival.element(),
+                    set: s,
+                });
+            }
+        }
+        for &s in arrival.members() {
+            if sorted.binary_search(&s).is_ok() {
+                state.assigned[s.index()] += 1;
+            } else if state.alive[s.index()] {
+                state.alive[s.index()] = false;
+                state.died_at[s.index()] = Some(arrival.element());
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// Over random member lists, decisions (duplicates, non-members,
+        /// over-capacity and empty ones included) and capacities, a
+        /// session step gives the oracle's verdict — variant and payload —
+        /// and leaves the same per-set state behind, arrival after
+        /// arrival.
+        #[test]
+        fn merge_walk_validator_matches_the_binary_search_oracle(
+            steps in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0u32..12, 0..7),
+                    proptest::collection::vec(0usize..10, 0..7),
+                    1u32..7,
+                    0u32..3,
+                ),
+                1..12,
+            ),
+        ) {
+            const M: usize = 12;
+            let metas: Vec<SetMeta> =
+                (0..M).map(|i| SetMeta::new(1.0, 1 + i as u32 % 3)).collect();
+            let mut alg = Scripted::new(Vec::new());
+            let mut session = Session::new(&metas, &mut alg);
+            let mut oracle = OracleState {
+                assigned: vec![0; M],
+                alive: vec![true; M],
+                died_at: vec![None; M],
+            };
+            for (i, (raw_members, picks, capacity, element_shift)) in steps.iter().enumerate() {
+                let mut members: Vec<SetId> = raw_members.iter().map(|&s| SetId(s)).collect();
+                members.sort_unstable();
+                members.dedup();
+                // Picks below the member count name members; the rest name
+                // arbitrary sets, members or not.
+                let decision: Vec<SetId> = picks
+                    .iter()
+                    .map(|&p| match members.get(p) {
+                        Some(&s) => s,
+                        None => SetId((p as u32 * 5) % M as u32),
+                    })
+                    .collect();
+                // Element ids near the top of the range too.
+                let element = ElementId((i as u32).wrapping_sub(*element_shift));
+                let arrival = Arrival::new(element, *capacity, &members);
+                let want = oracle_step(&mut oracle, &arrival, &decision);
+                let got = session.apply_external(&arrival, decision.clone());
+                proptest::prop_assert_eq!(got.map(|_| ()), want);
+                for s in 0..M {
+                    let state = session.state[s];
+                    proptest::prop_assert_eq!(state.assigned, oracle.assigned[s]);
+                    proptest::prop_assert_eq!(state.died_at, oracle.died_at[s]);
+                    proptest::prop_assert_eq!(state.died_at.is_none(), oracle.alive[s]);
+                }
+            }
+        }
     }
 
     #[test]

@@ -92,21 +92,24 @@ pub(super) fn biregular_stubs<R: Rng + ?Sized>(
     'restart: for _ in 0..MAX_RESTARTS {
         stubs.shuffle(rng);
         // Repair duplicates: for each element window, ensure distinct sets.
+        // Each round repairs the lowest conflicting window's first
+        // duplicate pair. An accepted swap never creates a duplicate (it
+        // moves a set only into a window that lacks it), so windows below
+        // the cursor `j` stay clean and the lowest conflict is found by
+        // scanning on from it: one pass over the windows per shuffle.
         let mut attempts = 0usize;
         let budget = 50 * incidences;
+        let mut j = 0;
         loop {
-            let mut conflict = None;
-            'scan: for j in 0..n {
-                let win = &stubs[j * sigma..(j + 1) * sigma];
-                for a in 0..sigma {
-                    for b in a + 1..sigma {
-                        if win[a] == win[b] {
-                            conflict = Some(j * sigma + b);
-                            break 'scan;
-                        }
-                    }
+            let conflict = loop {
+                if j == n {
+                    break None;
                 }
-            }
+                if let Some(b) = first_duplicate(&stubs[j * sigma..(j + 1) * sigma]) {
+                    break Some(j * sigma + b);
+                }
+                j += 1;
+            };
             let Some(pos) = conflict else {
                 // Simple: hand the repaired pairing back.
                 return Ok(stubs);
@@ -132,6 +135,12 @@ pub(super) fn biregular_stubs<R: Rng + ?Sized>(
         }
     }
     Err(GenError::RepairFailed)
+}
+
+/// The position inside `win` of the second stub of its first duplicate
+/// pair: the lowest `a`, then the lowest `b > a`, with `win[a] == win[b]`.
+fn first_duplicate(win: &[u32]) -> Option<usize> {
+    (0..win.len()).find_map(|a| (a + 1..win.len()).find(|&b| win[a] == win[b]))
 }
 
 #[cfg(test)]
@@ -206,6 +215,79 @@ mod tests {
         let a = biregular_instance(10, 3, 2, &mut StdRng::seed_from_u64(7)).unwrap();
         let b = biregular_instance(10, 3, 2, &mut StdRng::seed_from_u64(7)).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// The repair as first written: every round rescans all windows from
+    /// window 0 for the first conflict. Kept as the oracle for the
+    /// cursor-based repair in [`biregular_stubs`].
+    fn rescanning_stubs<R: Rng + ?Sized>(
+        m: usize,
+        k: u32,
+        sigma: u32,
+        rng: &mut R,
+    ) -> Result<Vec<u32>, GenError> {
+        let incidences = m * k as usize;
+        let sigma = sigma as usize;
+        let n = incidences / sigma;
+        let mut stubs: Vec<u32> = (0..m as u32)
+            .flat_map(|s| std::iter::repeat_n(s, k as usize))
+            .collect();
+        'restart: for _ in 0..50 {
+            stubs.shuffle(rng);
+            let mut attempts = 0usize;
+            let budget = 50 * incidences;
+            loop {
+                let mut conflict = None;
+                'scan: for j in 0..n {
+                    let win = &stubs[j * sigma..(j + 1) * sigma];
+                    for a in 0..sigma {
+                        for b in a + 1..sigma {
+                            if win[a] == win[b] {
+                                conflict = Some(j * sigma + b);
+                                break 'scan;
+                            }
+                        }
+                    }
+                }
+                let Some(pos) = conflict else {
+                    return Ok(stubs);
+                };
+                if attempts >= budget {
+                    continue 'restart;
+                }
+                attempts += 1;
+                let other = rng.gen_range(0..incidences);
+                let (je, jo) = (pos / sigma, other / sigma);
+                if je == jo {
+                    continue;
+                }
+                let (a, b) = (stubs[pos], stubs[other]);
+                let win_e = &stubs[je * sigma..(je + 1) * sigma];
+                let win_o = &stubs[jo * sigma..(jo + 1) * sigma];
+                if win_e.contains(&b) || win_o.contains(&a) {
+                    continue;
+                }
+                stubs.swap(pos, other);
+            }
+        }
+        Err(GenError::RepairFailed)
+    }
+
+    #[test]
+    fn cursor_repair_matches_the_rescanning_oracle() {
+        use rand::RngCore;
+        // A dense shape (few sets, frequent conflicts) and a sparse one.
+        for (m, k, sigma) in [(24, 6, 4), (4096, 4, 4)] {
+            for seed in 0..200 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut oracle_rng = StdRng::seed_from_u64(seed);
+                let got = biregular_stubs(m, k, sigma, &mut rng);
+                let want = rescanning_stubs(m, k, sigma, &mut oracle_rng);
+                assert_eq!(got, want, "m={m} k={k} σ={sigma} seed {seed}");
+                // Both consumed the same draws.
+                assert_eq!(rng.next_u64(), oracle_rng.next_u64(), "seed {seed}");
+            }
+        }
     }
 
     #[test]
